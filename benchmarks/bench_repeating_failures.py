@@ -26,3 +26,18 @@ def test_repeating_failures(benchmark, dataset):
     assert 0.01 < stats.repeating_server_fraction < 0.12
     # The flapping BBU server exists at every scale.
     assert stats.max_failures_single_server >= 30
+
+
+def test_repeat_chains(benchmark, dataset):
+    chains = benchmark.pedantic(
+        repeating.repeat_chains, args=(dataset,), rounds=3, iterations=1
+    )
+    stats = repeating.repeating_stats(dataset)
+    # Every repeating component is exactly one chain, time-ordered.
+    assert len(chains) == stats.n_repeating_components
+    assert len({key[0] for key in chains}) == stats.n_repeating_servers
+    assert all(
+        len(chain) >= 2
+        and all(a.error_time <= b.error_time for a, b in zip(chain, chain[1:]))
+        for chain in chains.values()
+    )

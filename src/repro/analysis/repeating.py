@@ -21,8 +21,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.columns import CATEGORY_CODE
 from repro.core.dataset import FOTDataset
-from repro.core.grouping import group_slices
+from repro.core.grouping import gap_runs, group_slices
 from repro.core.timeutil import DAY
 from repro.core.ticket import FOT
 from repro.core.types import FOTCategory
@@ -59,19 +60,46 @@ class RepeatingStats:
         return self.n_repeating_servers / self.n_failed_servers
 
 
-def _repeat_key(ticket: FOT) -> RepeatKey:
-    return (
-        ticket.host_id,
-        ticket.error_device.value,
-        ticket.device_slot,
-        ticket.error_type,
-    )
-
-
 #: Default linking window: a recurrence more than this long after the
 #: previous occurrence is treated as a *new* failure of the replacement
 #: module, not a repeat of the "solved" problem.
 DEFAULT_REPEAT_WINDOW_DAYS = 60.0
+
+_FIXING = CATEGORY_CODE[FOTCategory.FIXING]
+
+
+def _chain_runs(
+    failures: FOTDataset, window_days: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Each component key's first longest qualifying run, columnar:
+    chain ``c`` is failure positions ``rows[starts[c]:stops[c]]``, in
+    order of the key's first failure; ``n_fixed`` counts keys holding a
+    FIXING ticket.  Error-type codes come from an interned (injective)
+    table, so they compare as the type names do."""
+    if window_days <= 0:
+        raise ValueError("window_days must be positive")
+    by_time = np.argsort(failures.error_times, kind="stable")
+    key = np.stack((failures.error_type_codes, failures.device_slots,
+                    failures.component_codes, failures.host_ids))[:, by_time]
+    time_rank = np.lexsort(key)
+    key = key[:, time_rank]
+    # A key group starts at row 0 and wherever any key column changes.
+    new_key = np.ones(time_rank.size, dtype=bool)
+    new_key[1:] = (key[:, 1:] != key[:, :-1]).any(axis=0)
+    key_starts = np.flatnonzero(new_key)
+    rows = by_time[time_rank]
+    starts, stops = gap_runs(key_starts, failures.error_times[rows], window_days * DAY)
+    fixing = np.r_[0, np.cumsum(failures.category_codes[rows] == _FIXING)]
+    # A run qualifies with >= 2 tickets and a FIXING one before its last.
+    runs = np.flatnonzero((stops - starts >= 2) & (fixing[stops - 1] > fixing[starts]))
+    keys = np.searchsorted(key_starts, starts[runs], side="right") - 1
+    # Stable sort: among a key's longest runs the earliest comes first.
+    order = np.lexsort((starts[runs] - stops[runs], keys))
+    _, lead = np.unique(keys[order], return_index=True)
+    runs, keys = runs[order][lead], keys[order][lead]
+    runs = runs[np.argsort(time_rank[key_starts[keys]])]
+    n_fixed = int(np.count_nonzero(np.diff(fixing[np.r_[key_starts, rows.size]])))
+    return rows, starts[runs], stops[runs], n_fixed
 
 
 def repeat_chains(
@@ -87,66 +115,35 @@ def repeat_chains(
     ineffective repair.  Only chains where a non-final occurrence was
     actually closed as D_fixing count (an unrepaired D_error component
     failing again is expected, not a repeat of a "solved" problem).
-    Returned chains are time-ordered and have length >= 2.
+    A key keeps its first longest such chain.  Returned chains are
+    time-ordered and have length >= 2, keyed in order of each key's
+    first failure; only the chains' own tickets are materialized.
     """
-    if window_days <= 0:
-        raise ValueError("window_days must be positive")
-    window = window_days * DAY
-    by_key: Dict[RepeatKey, List[FOT]] = defaultdict(list)
-    # The chain splitter consumes every FOT object (category flags,
-    # per-occurrence gaps), so materializing each row once IS the work.
-    for ticket in dataset.failures().sorted_by_time():  # reprolint: disable=RPL301 -- chain splitter consumes each FOT object
-        by_key[_repeat_key(ticket)].append(ticket)
-
+    failures = dataset.failures()
+    rows, starts, stops, _ = _chain_runs(failures, window_days)
     chains: Dict[RepeatKey, List[FOT]] = {}
-    for key, tickets in by_key.items():
-        if len(tickets) < 2:
-            continue
-        # Split the occurrence list into runs with gaps <= window.
-        run: List[FOT] = [tickets[0]]
-        best: List[FOT] = []
-
-        def consider(candidate: List[FOT]) -> None:
-            nonlocal best
-            if len(candidate) < 2:
-                return
-            if not any(t.category is FOTCategory.FIXING for t in candidate[:-1]):
-                return
-            if len(candidate) > len(best):
-                best = list(candidate)
-
-        for prev, cur in zip(tickets, tickets[1:]):
-            if cur.error_time - prev.error_time <= window:
-                run.append(cur)
-            else:
-                consider(run)
-                run = [cur]
-        consider(run)
-        if best:
-            chains[key] = best
+    for start, stop in zip(starts, stops):
+        chain = list(failures.take(rows[start:stop]))
+        head = chain[0]
+        chains[(head.host_id, head.error_device.value, head.device_slot, head.error_type)] = chain
     return chains
 
 
 def repeating_stats(dataset: FOTDataset) -> RepeatingStats:
-    """Compute the Section III-D headline numbers."""
+    """Compute the Section III-D headline numbers (no ticket is
+    materialized)."""
     failures = dataset.failures()
     if len(failures) == 0:
         raise ValueError("no failures in dataset")
-
-    fixed_components = {
-        _repeat_key(t) for t in failures if t.category is FOTCategory.FIXING
-    }
-    chains = repeat_chains(dataset)
-    repeating_components = set(chains) & fixed_components
-    repeating_servers = {key[0] for key in chains}
+    rows, starts, _, n_fixed = _chain_runs(failures, DEFAULT_REPEAT_WINDOW_DAYS)
 
     host_ids, counts = np.unique(failures.host_ids, return_counts=True)
     worst = int(np.argmax(counts))
     return RepeatingStats(
-        n_fixed_components=len(fixed_components),
-        n_repeating_components=len(repeating_components),
+        n_fixed_components=n_fixed,
+        n_repeating_components=int(starts.size),
         n_failed_servers=int(host_ids.size),
-        n_repeating_servers=len(repeating_servers),
+        n_repeating_servers=int(np.unique(failures.host_ids[rows[starts]]).size),
         max_failures_single_server=int(counts[worst]),
         max_failures_host_id=int(host_ids[worst]),
     )

@@ -1,19 +1,20 @@
 """Vectorized group-by primitives for hot analysis paths.
 
-The perf lint rules (RPL301/RPL304) forbid Python-level row loops in
-the hot packages; the idiom that replaces ``for ticket in failures:
-bucket[key(ticket)].append(...)`` is one stable argsort over an integer
-key column plus boundary detection — O(n log n) in numpy instead of n
-interpreter round-trips.  This module centralizes that idiom so every
-analysis groups the same way:
+Analyses group tickets by one stable sort over integer key columns
+plus boundary detection — O(n log n) in numpy — instead of walking
+``FOT`` objects into per-key buckets.  This module centralizes that
+idiom so every analysis groups the same way:
 
 * :func:`composite_key` packs two integer columns into one collision
   free ``int64`` key.
 * :func:`group_slices` sorts a key column once and returns the group
   boundaries; callers slice per group (the per-*group* loop is over the
   handful of groups, not over n rows).
+* :func:`gap_runs` splits time-sorted groups further into *runs*: a
+  new run starts at each group boundary and wherever the time gap to
+  the previous row exceeds a window (repeat chains).
 
-Both are pure functions over immutable inputs — safe on frozen
+All are pure functions over immutable inputs — safe on frozen
 ``ColumnStore`` column views.
 """
 
@@ -71,4 +72,25 @@ def group_slices(
     return order, starts, stops
 
 
-__all__ = ["composite_key", "group_slices"]
+def gap_runs(
+    group_starts: np.ndarray, times: np.ndarray, max_gap: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split groups of time-sorted rows into gap-linked runs.
+
+    ``times`` holds the rows already ordered by group, then by time;
+    group ``g`` begins at row ``group_starts[g]`` (ascending, as
+    :func:`group_slices` returns them).  A run starts at every group
+    start and wherever the gap to the previous row is not
+    ``<= max_gap``: a gap of exactly ``max_gap`` links, a NaN gap
+    splits.  Returns ``(starts, stops)``: run ``r`` occupies rows
+    ``starts[r]:stops[r]``, runs in row order.
+    """
+    times = np.asarray(times)
+    splits = np.ones(times.size, dtype=bool)
+    splits[1:] = ~(np.diff(times) <= max_gap)
+    splits[np.asarray(group_starts, dtype=np.int64)] = True
+    edges = np.flatnonzero(np.r_[splits, True])
+    return edges[:-1], edges[1:]
+
+
+__all__ = ["composite_key", "gap_runs", "group_slices"]

@@ -10,6 +10,9 @@ compaction costs one column copy — never O(store) per batch.
 Readers always get a coherent snapshot: :meth:`current` compacts
 pending appends (if any) and returns an immutable view; concurrent
 analyses over an older snapshot stay valid because views never mutate.
+Appends, compactions and snapshots may come from different threads
+(the ingestion router runs them on an executor): one lock serializes
+them, so a batch staged while another thread compacts is never lost.
 On compaction the superseded snapshot's cache entries are evicted
 through :meth:`~repro.engine.cache.AnalysisCache.invalidate`.
 
@@ -27,6 +30,7 @@ ingestion ledger already provides upstream.
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -61,6 +65,7 @@ class LiveDataset:
         self._threshold = compact_threshold_tickets
         self._cache = cache
         self._persist_dir = None if persist_dir is None else Path(persist_dir)
+        self._lock = threading.Lock()
         self.compactions = 0
         self.appends = 0
         if self._persist_dir is not None:
@@ -121,15 +126,18 @@ class LiveDataset:
     def append(self, batch: FOTDataset) -> int:
         """Stage an accepted batch; compacts once the pending volume
         crosses the threshold.  Returns the new total ticket count."""
-        if len(batch):
-            self._pending.append(batch)
-            self._pending_tickets += len(batch)
-            self.appends += 1
-            if self._pending_tickets >= self._threshold:
-                self._compact()
-        return len(self)
+        with self._lock:
+            if len(batch):
+                self._pending.append(batch)
+                self._pending_tickets += len(batch)
+                self.appends += 1
+                if self._pending_tickets >= self._threshold:
+                    self._compact()
+            return len(self._base) + self._pending_tickets
 
     def _compact(self) -> None:
+        """Merge every pending batch into the base; the caller holds
+        ``self._lock``."""
         old = self._base
         if self._persist_dir is not None and self._pending:
             # Durability first: the new shard's blobs and the manifest
@@ -151,14 +159,16 @@ class LiveDataset:
     def flush(self) -> None:
         """Force a compaction (and, when persisting, a durable shard)
         for whatever is pending — shutdown path."""
-        if self._pending:
-            self._compact()
+        with self._lock:
+            if self._pending:
+                self._compact()
 
     def current(self) -> FOTDataset:
         """An immutable snapshot containing every accepted ticket."""
-        if self._pending:
-            self._compact()
-        return self._base
+        with self._lock:
+            if self._pending:
+                self._compact()
+            return self._base
 
 
 __all__ = ["LiveDataset", "TransientAppendError"]

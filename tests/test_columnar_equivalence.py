@@ -17,8 +17,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.analysis.full_report import full_report
 from repro.core.columns import ColumnBuilder
 from repro.core.dataset import FOTDataset
+from repro.core.storage import load_columnar, save_columnar
 from repro.core.types import (
     ComponentClass,
     DetectionSource,
@@ -240,3 +243,19 @@ class TestZeroMaterialization:
         assert first == again
         # Views share the parent's materialized tickets.
         assert ds.failures()[0] is next(iter(ds.failures()))
+
+    def _reloaded(self, tmp_path, trace):
+        path = tmp_path / "trace.fourcol"
+        save_columnar(trace.dataset, path)
+        return load_columnar(path)
+
+    def test_full_report_materializes_no_tickets(self, tmp_path, tiny_trace):
+        ds = self._reloaded(tmp_path, tiny_trace)
+        full_report(ds, inventory=tiny_trace.fleet.to_inventory())
+        assert ds.store.n_materialized == 0
+
+    def test_repeats_analysis_materializes_no_tickets(self, tmp_path, tiny_trace):
+        ds = self._reloaded(tmp_path, tiny_trace)
+        stats = repro.analyze(ds, "repeats")["repeats"]
+        assert stats.n_repeating_components > 0
+        assert ds.store.n_materialized == 0

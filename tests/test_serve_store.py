@@ -6,6 +6,9 @@ tickets as columnar shards, appended blobs-before-manifest so a crash
 between the two leaves the previous shard list readable.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import storage
@@ -19,6 +22,43 @@ class TestMemoryOnly:
         live.append(tiny_dataset[:25])
         assert live.persist_dir is None
         assert list(tmp_path.iterdir()) == []
+
+
+class TestConcurrency:
+    def test_no_batch_lost_to_concurrent_compaction(self, tiny_dataset):
+        # Writers stage batches while a reader keeps compacting through
+        # current(); a batch staged mid-compaction must survive it.
+        live = LiveDataset(tiny_dataset)
+        batch = tiny_dataset[:3]
+        writers, per_writer = 4, 150
+        done = threading.Event()
+
+        def write():
+            for _ in range(per_writer):
+                live.append(batch)
+
+        def read():
+            while not done.is_set():
+                live.current()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader = threading.Thread(target=read)
+            reader.start()
+            threads = [threading.Thread(target=write) for _ in range(writers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in [reader, *threads])
+        expected = len(tiny_dataset) + writers * per_writer * len(batch)
+        assert len(live.current()) == expected
+        assert len(live) == expected
 
 
 class TestPersistence:
