@@ -41,6 +41,10 @@ With ``--engine``, each tier additionally exercises the
 * ``gen_serial`` / ``gen_parallel`` — trace generation at ``jobs=1``
   vs. ``--jobs N`` (sharded output is checked column-for-column against
   serial; ``--check-equivalence`` turns a mismatch into a failure);
+* ``stages_serial`` / ``stages_parallel`` — the ``plan`` / ``execute``
+  / ``assemble`` stage walls of those two runs, from
+  ``trace.telemetry.stages`` (``plan`` is the serial fleet build and
+  injection phase before any shard runs);
 * ``report_cold`` / ``report_warm`` — the full paper report through a
   cold vs. warmed :class:`~repro.engine.cache.AnalysisCache`
   (``--min-cache-speedup X`` turns an insufficient warm-cache speedup
@@ -502,6 +506,10 @@ def run_engine_tier(
     gen_parallel = time.perf_counter() - t0
 
     equivalent = _traces_identical(serial, parallel)
+    stages = {
+        label: _stage_walls(trace)
+        for label, trace in (("serial", serial), ("parallel", parallel))
+    }
     dataset = serial.dataset
 
     cache = AnalysisCache()
@@ -516,6 +524,8 @@ def run_engine_tier(
         "cpus": os.cpu_count() or 1,
         "gen_serial": gen_serial,
         "gen_parallel": gen_parallel,
+        "stages_serial": stages["serial"],
+        "stages_parallel": stages["parallel"],
         "equivalent": equivalent,
         "report_cold": report_cold,
         "report_warm": report_warm,
@@ -527,7 +537,21 @@ def run_engine_tier(
         f"(x{report_cold / max(report_warm, 1e-9):.1f})",
         flush=True,
     )
+    for label, walls in stages.items():
+        print(
+            f"[{name}] engine: {label} stages "
+            + " / ".join(f"{stage} {wall:.2f}s" for stage, wall in walls.items()),
+            flush=True,
+        )
     return out
+
+
+def _stage_walls(trace) -> Dict[str, float]:
+    """Wall seconds of a generated trace's plan/execute/assemble stages."""
+    return {
+        stage: trace.telemetry.stage(stage).wall_seconds
+        for stage in ("plan", "execute", "assemble")
+    }
 
 
 def run_adaptive_tier(name: str, repeats: int, scale_override=None) -> Dict[str, object]:

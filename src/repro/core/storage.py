@@ -262,11 +262,14 @@ def _decode_varstr(offsets_path: Path, data_path: Path, n: int, what: str) -> np
     return out
 
 
+#: One encoder for every ``details`` row: ``json.dumps`` with these
+#: options would build a fresh encoder per row.
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+
+
 def _encode_jsonl(column: np.ndarray) -> bytes:
-    lines = [
-        json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
-        for value in column
-    ]
+    encode = _JSONL_ENCODER.encode
+    lines = [encode(value) for value in column]
     text = "\n".join(lines)
     if lines:
         text += "\n"

@@ -6,10 +6,12 @@ owning product line) and product lines (size, fault-tolerance level —
 which drives operator response behaviour).
 
 The builder assembles a whole fleet from a
-:class:`~repro.config.FleetConfig`; :class:`~repro.fleet.inventory.Inventory`
-is the lightweight per-server table the analyses use for exposure
-normalization (lifecycle rates, rack-position occupancy) without needing
-the full object graph.
+:class:`~repro.config.FleetConfig`.  A :class:`~repro.fleet.fleet.Fleet`
+stores its servers as per-server numpy columns; :class:`Server` records
+are derived from them on request.
+:class:`~repro.fleet.inventory.Inventory` is the lightweight per-server
+table the analyses use for exposure normalization (lifecycle rates,
+rack-position occupancy).
 """
 
 from repro.fleet.component import ServerGeneration, GENERATIONS

@@ -28,7 +28,6 @@ from repro.fleet.datacenter import DataCenter
 from repro.fleet.fleet import Fleet
 from repro.fleet.product_line import ProductLine
 from repro.fleet.rack import Rack, slot_occupancy_weights
-from repro.fleet.server import Server
 
 #: Hot slots of the legacy custom rack design: slot 22 sits next to the
 #: rack-level power module, slot 35 is near the top where under-floor
@@ -120,18 +119,25 @@ def _product_lines(
     return lines
 
 
-def _generation_for(deployed_at: float, config: FleetConfig):
-    """Hardware generation implied by the deployment date: the wave
-    window is split evenly across the five generations."""
+def _generation_codes(deployed_ats: np.ndarray, config: FleetConfig) -> np.ndarray:
+    """Hardware generation (index into ``GENERATIONS``) implied by each
+    deployment date: the wave window is split evenly across the five
+    generations."""
     start = -config.oldest_wave_years * YEAR
     end = config.newest_wave_years * YEAR
-    frac = (deployed_at - start) / (end - start)
-    idx = min(len(GENERATIONS) - 1, max(0, int(frac * len(GENERATIONS))))
-    return GENERATIONS[idx]
+    frac = (deployed_ats - start) / (end - start)
+    # Truncate toward zero (as int() does), then clamp to the known generations.
+    return np.clip((frac * len(GENERATIONS)).astype(np.int64), 0, len(GENERATIONS) - 1)
 
 
 def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
-    """Assemble the full fleet for one scenario."""
+    """Assemble the full fleet for one scenario.
+
+    The draw order is part of the trace contract: per DC the spatial
+    profile, then per rack the line pick (only once the shuffled
+    assignment runs out), the wave, the occupancy ``binomial``, the slot
+    ``choice`` and one ``uniform`` jitter per placed server.
+    """
     dc_sizes = _dc_sizes(config, rng)
     total_servers = int(dc_sizes.sum())
     lines = _product_lines(config, total_servers, rng)
@@ -166,8 +172,12 @@ def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
     assignment_cursor = 0
 
     datacenters: List[DataCenter] = []
-    servers: List[Server] = []
-    host_id = 0
+    # Per placed rack: (dc, rack, pdu, line) and its server count; per
+    # server: slot and deployment time, one array per rack.
+    rack_keys: List[Tuple[int, int, int, int]] = []
+    rack_sizes: List[int] = []
+    slot_parts: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    deployed_parts: List[np.ndarray] = [np.empty(0)]
     global_pdu = 0
 
     for dc_idx in range(n_dcs):
@@ -181,16 +191,15 @@ def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
         placed = 0
         for rack_idx in range(n_racks):
             pdu_id = global_pdu + rack_idx // config.racks_per_pdu
-            rack = Rack(
-                rack_id=rack_idx, idc=idc, n_slots=config.rack_slots, pdu_id=pdu_id
+            racks.append(
+                Rack(rack_id=rack_idx, idc=idc, n_slots=config.rack_slots, pdu_id=pdu_id)
             )
-            racks.append(rack)
 
             if assignment_cursor < len(rack_line_assignment):
-                line = lines[rack_line_assignment[assignment_cursor]]
+                line_idx = rack_line_assignment[assignment_cursor]
                 assignment_cursor += 1
             else:
-                line = lines[int(rng.integers(len(lines)))]
+                line_idx = int(rng.integers(len(lines)))
 
             # The whole rack is deployed together (one wave), servers get
             # a small per-server jitter.
@@ -201,27 +210,15 @@ def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
             )
             if n_here <= 0:
                 continue
-            slots = rng.choice(
+            slots = np.sort(rng.choice(
                 config.rack_slots, size=n_here, replace=False, p=occupancy_probs
-            )
-            for slot in sorted(int(s) for s in slots):
-                deployed_at = wave + float(rng.uniform(0, 14)) * DAY
-                generation = _generation_for(deployed_at, config)
-                servers.append(
-                    Server(
-                        host_id=host_id,
-                        hostname=f"{idc}-r{rack_idx:03d}-s{slot:02d}",
-                        idc=idc,
-                        rack_id=rack_idx,
-                        position=slot,
-                        pdu_id=rack.pdu_id,
-                        product_line=line.name,
-                        generation=generation,
-                        deployed_at=deployed_at,
-                    )
-                )
-                host_id += 1
-                placed += 1
+            ))
+            deployed = wave + rng.uniform(0, 14, size=n_here) * DAY
+            rack_keys.append((dc_idx, rack_idx, pdu_id, line_idx))
+            rack_sizes.append(n_here)
+            slot_parts.append(slots)
+            deployed_parts.append(deployed)
+            placed += n_here
             if placed >= target:
                 break
         global_pdu += n_racks // config.racks_per_pdu + 1
@@ -234,10 +231,31 @@ def build_fleet(config: FleetConfig, rng: np.random.Generator) -> Fleet:
             )
         )
 
-    # Drop product lines that ended up owning no servers (tiny tails).
-    owned = {s.product_line for s in servers}
-    lines = [pl for pl in lines if pl.name in owned]
-    return Fleet(datacenters, lines, servers)
+    per_server = np.repeat(
+        np.asarray(rack_keys, dtype=np.int64).reshape(-1, 4), rack_sizes, axis=0
+    )
+    dc_col, rack_col, pdu_col, line_col = per_server.T
+    deployed_ats = np.concatenate(deployed_parts)
+
+    # Drop product lines that ended up owning no servers (tiny tails);
+    # line codes index the surviving names in sorted order.
+    owned = np.unique(line_col).tolist()
+    kept = [lines[i] for i in owned]
+    code_of = {name: code for code, name in enumerate(sorted(pl.name for pl in kept))}
+    recode = np.zeros(len(lines), dtype=np.int64)
+    recode[owned] = [code_of[pl.name] for pl in kept]
+    return Fleet(
+        datacenters,
+        kept,
+        host_ids=np.arange(deployed_ats.size),
+        idc_codes=dc_col,
+        rack_ids=rack_col,
+        positions=np.concatenate(slot_parts),
+        pdu_ids=pdu_col,
+        line_codes=recode[line_col],
+        generation_codes=_generation_codes(deployed_ats, config),
+        deployed_ats=deployed_ats,
+    )
 
 
 __all__ = ["build_fleet", "HOTSPOT_SLOTS", "GRADIENT_TOP"]

@@ -1,9 +1,9 @@
 """The server record.
 
-Servers are plain slotted dataclasses — a paper-scale fleet holds ~100k
-of them, so the representation stays lean and the simulator reads the
-hot fields through the fleet's columnar views instead of touching these
-objects in inner loops.
+A :class:`~repro.fleet.fleet.Fleet` keeps its servers as columns; a
+``Server`` is one row of them as a frozen dataclass, built on request
+(``Fleet.servers``) for tests, examples and reports.  The simulation
+reads the columns and never builds one.
 """
 
 from __future__ import annotations

@@ -76,11 +76,10 @@ class FMSPipeline:
         repair: Optional[RepairModel] = None,
         chain_id_base: int = 0,
     ):
-        """``fleet`` may be any object exposing a ``servers`` sequence
-        (the sharded engine passes a per-DC slice); a full
-        :class:`~repro.fleet.fleet.Fleet` is only required when
-        ``operators`` is left to the default.  ``chain_id_base`` offsets
-        FMS-grown repeat-chain ids so shards of one run never collide."""
+        """``fleet`` may be a whole fleet or a row subset of one (the
+        sharded engine passes one data center's rows); raw failures name
+        their server by row.  ``chain_id_base`` offsets FMS-grown
+        repeat-chain ids so shards of one run never collide."""
         self.fleet = fleet
         self.chain_id_base = int(chain_id_base)
         self.horizon = float(horizon_seconds)
@@ -151,14 +150,22 @@ class FMSPipeline:
         fot_id = 0
         next_chain = self.chain_id_base
         chain_lengths: Dict[int, int] = {}
-        servers = self.fleet.servers
+        fleet = self.fleet
+        host_ids = fleet.host_ids.tolist()
+        idcs = [fleet.idc_names[c] for c in fleet.idc_codes.tolist()]
+        rack_ids = fleet.rack_ids.tolist()
+        positions = fleet.positions.tolist()
+        lines = [fleet.line_names[c] for c in fleet.line_codes.tolist()]
+        deployed_ats = fleet.deployed_ats.tolist()
 
         for time, raw in queue.drain():
             self.stats["events_in"] += 1
             if time >= self.horizon:
                 self.stats["dropped_beyond_horizon"] += 1
                 continue
-            server = servers[raw.server_row]
+            row = raw.server_row
+            line = lines[row]
+            age = max(0.0, time - deployed_ats[row])
             component = raw.component
             error_type = raw.forced_type or self._sample_type(component)
             source = self.detection.source_for(component)
@@ -171,7 +178,7 @@ class FMSPipeline:
                 not raw.suppress_repeat
                 and self._rng.random() < calibration.FALSE_ALARM_RATE
             )
-            in_warranty = server.in_warranty(time, warranty_seconds)
+            in_warranty = age <= warranty_seconds
 
             action: Optional[OperatorAction] = None
             operator_id: Optional[str] = None
@@ -181,7 +188,7 @@ class FMSPipeline:
                 category = FOTCategory.FALSE_ALARM
                 action = OperatorAction.MARK_FALSE_ALARM
                 op_time, operator_id = self.operators.close_false_alarm(
-                    server.product_line, time
+                    line, time
                 )
                 self.stats["false_alarms"] += 1
             elif not in_warranty:
@@ -194,27 +201,27 @@ class FMSPipeline:
                 action = OperatorAction.REPAIR_ORDER
                 op_time, operator_id = self.operators.close_fixing(
                     component,
-                    server.product_line,
+                    line,
                     time,
-                    server.age_seconds(time),
+                    age,
                     is_lemon,
                 )
                 self.stats["repairs"] += 1
 
             builder.append(
                 fot_id=fot_id,
-                host_id=server.host_id,
-                hostname=server.hostname,
-                host_idc=server.idc,
+                host_id=host_ids[row],
+                hostname=f"{idcs[row]}-r{rack_ids[row]:03d}-s{positions[row]:02d}",
+                host_idc=idcs[row],
                 error_device=component,
                 error_type=error_type,
                 error_time=time,
-                error_position=server.position,
+                error_position=positions[row],
                 error_detail=device_detail(component, raw.slot),
                 category=category,
                 source=source,
-                product_line=server.product_line,
-                deployed_at=server.deployed_at,
+                product_line=line,
+                deployed_at=deployed_ats[row],
                 device_slot=raw.slot,
                 action=action,
                 operator_id=operator_id,

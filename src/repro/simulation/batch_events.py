@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.timeutil import DAY, HOUR, YEAR
 from repro.core.types import ComponentClass
+from repro.fleet.component import GENERATIONS
 from repro.fleet.fleet import Fleet
 from repro.simulation import calibration
 from repro.simulation.events import RawFailure
@@ -59,7 +60,7 @@ def storm_prone_cohorts(fleet: Fleet) -> List[np.ndarray]:
     for key, rows in cohorts.items():
         _, line_name, _ = key
         line = fleet.product_line(line_name)
-        gen_heavy = fleet.servers[int(rows[0])].generation.storage_heavy
+        gen_heavy = GENERATIONS[fleet.generation_codes[rows[0]]].storage_heavy
         bonus = 2 if (line.is_batch and gen_heavy) else 0
         scored.append((bonus * 10_000_000 + rows.size, key, rows))
     scored.sort(key=lambda item: item[0], reverse=True)
@@ -233,7 +234,7 @@ def inject_batch_events(
                12 * HOUR, batch, "Case 2: faulty SAS cards, two 1-hour windows")
 
     # --- PDU outages (Case 3) -----------------------------------------
-    pdu_ids = np.fromiter((s.pdu_id for s in fleet.servers), dtype=np.int64)
+    pdu_ids = fleet.pdu_ids
     unique_pdus = np.unique(pdu_ids)
     n_outages = max(1, int(rng.poisson(calibration.PDU_OUTAGES_PER_YEAR * years)))
     for _ in range(n_outages):

@@ -39,11 +39,6 @@ class InjectionRecord:
     description: str
 
 
-def _rows_with_component(fleet: Fleet, cls: ComponentClass) -> np.ndarray:
-    counts = fleet.counts_for(cls)
-    return np.flatnonzero(counts > 0)
-
-
 def inject_correlated_pairs(
     fleet: Fleet,
     horizon_seconds: float,
@@ -60,8 +55,8 @@ def inject_correlated_pairs(
             n = max(1, n)
         if n == 0:
             continue
-        eligible = np.intersect1d(
-            _rows_with_component(fleet, cause), _rows_with_component(fleet, effect)
+        eligible = np.flatnonzero(
+            (fleet.counts_for(cause) > 0) & (fleet.counts_for(effect) > 0)
         )
         if eligible.size == 0:
             continue
@@ -117,19 +112,20 @@ def inject_flapping_server(
     are not dominated by a single server, but never below a handful —
     the repeating-failure analyses need at least one clear extreme case.
     """
-    eligible = _rows_with_component(fleet, ComponentClass.RAID_CARD)
     # The flap needs a long in-service window, so only servers deployed
     # in the first part of the horizon qualify.
-    eligible = eligible[fleet.deployed_ats[eligible] < horizon_seconds * 0.35]
-    if eligible.size == 0:
+    eligible = (fleet.counts_for(ComponentClass.RAID_CARD) > 0) & (
+        fleet.deployed_ats < horizon_seconds * 0.35
+    )
+    if not eligible.any():
         return [], None
     # Prefer an online (web service) line, matching the anecdote.
-    online_rows = [
-        int(r)
-        for r in eligible
-        if fleet.product_line(fleet.servers[int(r)].product_line).workload == "online"
-    ]
-    row = int(rng.choice(online_rows)) if online_rows else int(rng.choice(eligible))
+    online_lines = np.asarray(
+        [fleet.product_lines[name].workload == "online" for name in fleet.line_names],
+        dtype=bool,
+    )
+    online_rows = np.flatnonzero(eligible & online_lines[fleet.line_codes])
+    row = int(rng.choice(online_rows if online_rows.size else np.flatnonzero(eligible)))
 
     chain = max(30, int(calibration.BBU_SERVER_CHAIN * scale))
     # Keep the anecdote's cadence (~420 failures over a year, i.e. one

@@ -43,7 +43,6 @@ from repro.core.types import ComponentClass
 from repro.fleet.builder import build_fleet
 from repro.fleet.fleet import Fleet
 from repro.fleet.inventory import Inventory
-from repro.fleet.server import Server
 from repro.fms.detectors import DetectionModel
 from repro.fms.operators import OperatorModel
 from repro.fms.pipeline import FMSPipeline
@@ -82,7 +81,7 @@ class SyntheticTrace:
         dataset: The FOTs, time-ordered.  Built columnar by the FMS
             pipeline (``ColumnBuilder``) — no ``FOT`` objects are
             allocated unless the trace is iterated ticket-by-ticket.
-        fleet: The full fleet object graph.
+        fleet: The full fleet (columnar; see :class:`~repro.fleet.fleet.Fleet`).
         inventory: Per-server metadata table (analysis denominators).
         config: The scenario that produced the trace.
         storms: Ground truth of injected batch events.
@@ -186,13 +185,12 @@ class ShardShared:
 @dataclass
 class ShardTask:
     """Everything one data-center shard needs, self-contained so a
-    worker process can execute it without the fleet object graph."""
+    worker process can execute it without the whole fleet."""
 
     index: int
     idc: str
     rows: np.ndarray  # global server rows of this DC, ascending
-    servers: Tuple[Server, ...]
-    deployed: np.ndarray
+    fleet: Fleet  # the DC's rows of the fleet (``fleet.take(rows)``)
     slot_risk: np.ndarray
     counts_by_class: Dict[ComponentClass, np.ndarray]
     frailty_by_class: Dict[ComponentClass, np.ndarray]
@@ -232,15 +230,6 @@ class TracePlan:
     injections: List[InjectionRecord]
 
 
-class _ServerSlice:
-    """Minimal fleet stand-in for the FMS pipeline: just the servers."""
-
-    __slots__ = ("servers",)
-
-    def __init__(self, servers: Tuple[Server, ...]):
-        self.servers = servers
-
-
 def plan_trace(config: ScenarioConfig) -> TracePlan:
     """Phase 1: build the fleet and all fleet-wide random state, then
     split the run into one :class:`ShardTask` per data center.
@@ -260,9 +249,8 @@ def plan_trace(config: ScenarioConfig) -> TracePlan:
     grng = np.random.default_rng(global_seed)
     frailty = draw_frailty(len(fleet), grng)
     n_lemons = max(1, int(round(calibration.LEMON_FRACTION * len(fleet))))
-    lemon_rows = set(
-        int(r) for r in grng.choice(len(fleet), size=n_lemons, replace=False)
-    )
+    is_lemon = np.zeros(len(fleet), dtype=bool)
+    is_lemon[grng.choice(len(fleet), size=n_lemons, replace=False)] = True
 
     budgets = _class_budgets(config)
     frailty_by_class = permute_frailty(frailty, budgets, grng)
@@ -343,8 +331,7 @@ def plan_trace(config: ScenarioConfig) -> TracePlan:
                 index=i,
                 idc=dc.name,
                 rows=rows,
-                servers=tuple(fleet.servers[r] for r in rows),
-                deployed=fleet.deployed_ats[rows],
+                fleet=fleet.take(rows),
                 slot_risk=fleet.slot_risk[rows],
                 counts_by_class={
                     cls: counts[rows] for cls, counts in counts_by_class.items()
@@ -352,9 +339,7 @@ def plan_trace(config: ScenarioConfig) -> TracePlan:
                 frailty_by_class={
                     cls: values[rows] for cls, values in frailty_by_class.items()
                 },
-                lemon_local=tuple(
-                    int(local_pos[r]) for r in sorted(lemon_rows) if idc_codes[r] == i
-                ),
+                lemon_local=tuple(np.flatnonzero(is_lemon[rows]).tolist()),
                 monitored_since=(
                     None if monitored_since is None else monitored_since[rows]
                 ),
@@ -386,7 +371,7 @@ def run_shard(task: ShardTask, shared: ShardShared) -> ShardResult:
     wall0, cpu0 = time.perf_counter(), time.process_time()
     rng = np.random.default_rng(task.seed)
     events = sample_shard_failures(
-        deployed=task.deployed,
+        deployed=task.fleet.deployed_ats,
         slot_risk=task.slot_risk,
         counts_by_class=task.counts_by_class,
         frailty_by_class=task.frailty_by_class,
@@ -401,7 +386,7 @@ def run_shard(task: ShardTask, shared: ShardShared) -> ShardResult:
         events = _filter_monitored(events, task.monitored_since)
 
     pipeline = FMSPipeline(
-        _ServerSlice(task.servers),
+        task.fleet,
         shared.horizon_seconds,
         rng,
         lemon_rows=set(task.lemon_local),

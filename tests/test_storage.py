@@ -166,6 +166,30 @@ class TestRoundTrip:
         assert len(loaded) > 0
 
 
+class TestJsonlEncoding:
+    def test_matches_per_row_json_dumps(self):
+        import datetime
+        import json
+        from pathlib import PurePosixPath
+
+        rows = [
+            {"tag": "repeat", "chain_id": 3},
+            {"z": 1, "a": {"nested": [1, 2.5, None], "b": True}},
+            {"note": "Größe 設備 — ünïcode", "emoji": "☃"},
+            {"when": datetime.date(2016, 8, 1), "path": PurePosixPath("/a/b")},
+            {"set": {1}, "nan": float("nan"), "big": 10**30},
+            {},
+        ]
+        column = np.empty(len(rows), dtype=object)
+        column[:] = rows
+        expected = "".join(
+            json.dumps(row, sort_keys=True, separators=(",", ":"), default=str) + "\n"
+            for row in rows
+        ).encode("utf-8")
+        assert storage._encode_jsonl(column) == expected
+        assert storage._encode_jsonl(np.empty(0, dtype=object)) == b""
+
+
 class TestAppend:
     def test_append_creates_shards_and_concatenates(self, tmp_path, tiny_dataset):
         path = tmp_path / "sharded.fourcol"
