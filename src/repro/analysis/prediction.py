@@ -94,7 +94,7 @@ def issue_warnings(
     out: List[Warning_] = []
     # Each emission depends on counts/last_issued updated by every
     # prior row, so the walk is inherently sequential.
-    for ticket in dataset.failures().sorted_by_time():  # reprolint: disable=RPL301 -- stateful dedup scan
+    for ticket in dataset.failures().sorted_by_time():
         if ticket.error_type not in warn_set:
             continue
         key = (ticket.host_id, ticket.error_device.value)

@@ -25,9 +25,7 @@ four verbs::
 
 ``jobs="auto"`` (the default) lets the adaptive planner probe usable
 cores and per-shard cost, so generation is parallel exactly when that
-pays — output is bit-identical to serial either way.  The pre-policy
-``jobs=``/``cache=`` kwargs still work but emit ``DeprecationWarning``
-pointing at ``policy=``.
+pays — output is bit-identical to serial either way.
 
 The facade wraps the per-module APIs (``repro.analysis.*``,
 ``repro.core.io``, ``repro.simulation.trace``) without hiding them;
@@ -38,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
@@ -72,7 +69,7 @@ from repro.core import io as _io
 from repro.core.dataset import FOTDataset
 from repro.core.types import FOTCategory
 from repro.engine import AnalysisCache
-from repro.engine.policy import DEFAULT_POLICY, ExecutionPolicy, coerce_jobs
+from repro.engine.policy import DEFAULT_POLICY, ExecutionPolicy
 from repro.engine.telemetry import (
     KIND_ANALYZE,
     KIND_COMPARE,
@@ -105,45 +102,6 @@ __all__ = [
     "format_percent",
     "ANALYSES",
 ]
-
-
-def _warn_deprecated_kwarg(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"the {old} kwarg is deprecated; pass "
-        f"policy=repro.ExecutionPolicy({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def _resolve_policy(
-    policy: Optional[ExecutionPolicy],
-    *,
-    jobs: Optional[Union[int, str]] = None,
-    cache: Optional[AnalysisCache] = None,
-) -> ExecutionPolicy:
-    """Fold the deprecated per-verb kwargs into one policy.
-
-    ``None`` legacy values are treated as "not passed" (the historical
-    defaults), so only a real legacy value warns; combining a legacy
-    value with an explicit ``policy`` is an error rather than a silent
-    precedence rule.
-    """
-    legacy: Dict[str, Any] = {}
-    if jobs is not None:
-        _warn_deprecated_kwarg("jobs=", "jobs=...")
-        legacy["jobs"] = coerce_jobs(jobs)
-    if cache is not None:
-        _warn_deprecated_kwarg("cache=", "cache=...")
-        legacy["cache"] = cache
-    if policy is None:
-        return DEFAULT_POLICY.with_(**legacy) if legacy else DEFAULT_POLICY
-    if legacy:
-        raise ValueError(
-            "pass execution knobs through policy=..., not alongside it "
-            f"(got legacy kwargs: {', '.join(sorted(legacy))})"
-        )
-    return policy
 
 
 def load(path: Union[str, Path], *, lenient: bool = False) -> FOTDataset:
@@ -233,7 +191,6 @@ def simulate(
     scale: float = 1.0,
     seed: int = 20170626,
     policy: Optional[ExecutionPolicy] = None,
-    jobs: Optional[Union[int, str]] = None,
 ) -> "SyntheticTrace":
     """Generate a synthetic FOT trace.
 
@@ -246,17 +203,15 @@ def simulate(
             sized pool.  Output is bit-identical for every plan; the
             chosen plan and per-shard timings land on
             ``trace.telemetry`` (and the policy's telemetry sink).
-        jobs: deprecated; pass ``policy=ExecutionPolicy(jobs=...)``.
 
     Returns the full trace result (``.dataset``, ``.inventory``,
     ``.fleet``, ``.fms_stats``, ``.telemetry``).
     """
-    policy = _resolve_policy(policy, jobs=jobs)
     if scenario is None:
         from repro.config import paper_scenario
 
         scenario = paper_scenario(scale=scale, seed=seed)
-    return generate_trace(scenario, policy=policy)
+    return generate_trace(scenario, policy=policy or DEFAULT_POLICY)
 
 
 #: Named analyses runnable through :func:`analyze`: name -> (fn, params).
@@ -279,18 +234,16 @@ def analyze(
     dataset: FOTDataset,
     *analyses: str,
     policy: Optional[ExecutionPolicy] = None,
-    cache: Optional[AnalysisCache] = None,
 ) -> Dict[str, Any]:
     """Run named analyses over ``dataset``; all of them when none named.
 
     The policy's ``cache`` memoizes results by content fingerprint and
     its ``telemetry_sink`` receives one per-analysis-timed
-    :class:`~repro.engine.telemetry.RunTelemetry` document.  ``cache=``
-    is the deprecated spelling of ``policy=ExecutionPolicy(cache=...)``.
+    :class:`~repro.engine.telemetry.RunTelemetry` document.
 
     Returns ``{name: result}``; see :data:`ANALYSES` for the registry.
     """
-    policy = _resolve_policy(policy, cache=cache)
+    policy = policy or DEFAULT_POLICY
     names = analyses or tuple(ANALYSES)
     unknown = [n for n in names if n not in ANALYSES]
     if unknown:
@@ -346,7 +299,6 @@ def full_report(
     *,
     inventory: Optional["Inventory"] = None,
     policy: Optional[ExecutionPolicy] = None,
-    cache: Optional[AnalysisCache] = None,
     headline_only: bool = False,
 ) -> FullReport:
     """Render the paper report over ``dataset``.
@@ -357,11 +309,10 @@ def full_report(
             section bodies on the dataset's content fingerprint and its
             ``telemetry_sink`` receives a timed run document (with the
             cache's hit counters).
-        cache: deprecated; pass ``policy=ExecutionPolicy(cache=...)``.
         headline_only: only Tables I/II and the MTBF line (the CLI
             ``report`` subcommand).
     """
-    policy = _resolve_policy(policy, cache=cache)
+    policy = policy or DEFAULT_POLICY
     wall0, cpu0 = time.perf_counter(), time.process_time()
     report = _full_report(
         dataset,
@@ -390,7 +341,7 @@ def compare(
     policy: Optional[ExecutionPolicy] = None,
 ) -> DatasetComparison:
     """Compare two FOT datasets across the paper's dimensions."""
-    policy = _resolve_policy(policy)
+    policy = policy or DEFAULT_POLICY
     wall0, cpu0 = time.perf_counter(), time.process_time()
     result = _compare_mod.compare_datasets(left, right)
     _record_stages(

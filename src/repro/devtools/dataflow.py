@@ -4,8 +4,8 @@ Every function (and each module body) is lowered to a CFG
 (:mod:`repro.devtools.cfg`) and interpreted over the fact lattice in
 :mod:`repro.devtools.lattice` with a classic worklist fixpoint; rules
 query the stable per-block environments instead of doing ad-hoc taint
-walks.  The engine powers four semantic rules on top of the syntactic
-RPL001–005 set:
+walks.  The engine powers three semantic rules on top of the syntactic
+RPL001/RPL002 checks:
 
 * **RPL101 — time-unit safety.** Facts are seeded from
   :mod:`repro.core.timeutil` (``HOUR``/``DAY``/... are *conversion
@@ -20,10 +20,6 @@ RPL001–005 set:
   ``3600``/``86400`` folded into arithmetic must be the named
   ``timeutil`` constants; the literal silently fixes a unit the reader
   cannot see.
-* **RPL103 — dtype width.** Narrowing casts (``astype(np.int32)``,
-  ``dtype=np.float32``) and narrow accumulations over time-unit values
-  are flagged: int32 sums of second-resolution timestamps overflow and
-  float32 cannot even represent a 4-year offset to the second.
 * **RPL104 — shard-order determinism.** Values whose iteration order
   depends on set hashing or filesystem listing order (``set``/
   ``frozenset``, ``os.listdir``, ``Path.glob``/``iterdir``) must be
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import re
 from collections import deque
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -51,15 +46,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.devtools.cfg import CFG, build_cfg
 from repro.devtools.lattice import (
     BOTTOM,
-    DATASET_SCALE,
     DIMENSIONLESS,
     Env,
     Fact,
-    NARROW_WIDTHS,
-    TIME_UNITS,
     TOP,
     conversion,
-    dataset_scale,
     dimensionless,
     is_time_unit,
     join_envs,
@@ -68,9 +59,7 @@ from repro.devtools.lattice import (
 from repro.devtools.rules import (
     COLUMN_PROPERTIES,
     DETERMINISTIC_PACKAGES,
-    Edit,
     Finding,
-    Fix,
     MUTATOR_METHODS,
     _DeterminismVisitor,
     module_name,
@@ -170,51 +159,8 @@ METHOD_UNIT_PRESERVING = frozenset(
     }
 )
 
-#: Accumulating reductions where a narrow dtype overflows (RPL103).
-ACCUMULATORS = frozenset({"sum", "cumsum", "nansum", "prod", "cumprod"})
-
 #: Methods returning filesystem-listing-ordered iterables (RPL104).
 FS_LISTING_METHODS = frozenset({"iterdir", "glob", "rglob", "scandir"})
-
-# ---------------------------------------------------------------------------
-# dataset-scale taint (the perf engine's "n is actually large" seed)
-# ---------------------------------------------------------------------------
-#: Plain-name callables whose result is a whole dataset/trace.
-DATASET_PRODUCERS = frozenset(
-    {"load", "load_csv", "load_jsonl", "load_columnar", "generate_trace"}
-)
-
-#: FOTDataset methods that return another row-count-scale view.  The
-#: ``by_*`` group-bys are deliberately absent: their result is a dict
-#: with one entry per *group* (a handful of IDCs / components), so a
-#: loop over it is small even though each value is dataset-scale.
-DATASET_VIEW_METHODS = frozenset(
-    {
-        "failures", "sorted_by_time", "where", "take", "filter",
-        "of_category", "of_component", "of_idc", "of_product_line",
-        "of_source", "between", "with_op_time", "concat",
-    }
-)
-
-#: Parameter/variable names conventionally bound to a whole dataset.
-DATASET_NAME_SEEDS = frozenset({"dataset", "ds"})
-
-#: Attributes that materialize the per-row object surface.
-ROW_SURFACE_PROPERTIES = frozenset({"tickets"})
-
-#: Annotations marking a value as dataset-scale.
-DATASET_ANNOTATIONS = frozenset(
-    {"FOTDataset", "ColumnStore", "LiveDataset"}
-)
-
-#: numpy callables / ndarray methods that reduce away the length axis —
-#: their result is a scalar (or per-group aggregate), not n rows.
-SCALE_REDUCERS = frozenset(
-    {
-        "sum", "nansum", "mean", "nanmean", "median", "nanmedian", "std",
-        "min", "max", "quantile", "percentile", "item", "prod", "unique",
-    }
-)
 
 
 def unit_from_name(name: str) -> Optional[str]:
@@ -244,17 +190,6 @@ def _annotation_unit(node: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return ANNOTATION_UNITS.get(node.attr)
     return None
-
-
-def _annotation_dataset(node: Optional[ast.AST]) -> bool:
-    """True when an annotation names a dataset-scale container."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value.strip("'\"") in DATASET_ANNOTATIONS
-    if isinstance(node, ast.Name):
-        return node.id in DATASET_ANNOTATIONS
-    if isinstance(node, ast.Attribute):
-        return node.attr in DATASET_ANNOTATIONS
-    return False
 
 
 def _decorator_unit(fn: ast.AST) -> Optional[str]:
@@ -289,16 +224,9 @@ class ModuleContext:
         self.module_aliases: Dict[str, str] = {}
         #: facts for names bound at import time (timeutil constants).
         self.global_facts: Dict[str, Fact] = {}
-        #: timeutil constant name -> the local name it is bound to
-        #: (``from ... import DAY as D`` -> {"DAY": "D"}); the RPL102
-        #: auto-fix uses it to reuse existing imports.
-        self.conversion_bindings: Dict[str, str] = {}
-        #: 1-based line *before* which a new import can be inserted.
-        self.import_insert_line: int = 1
         #: final abstract env of the module body (module constants).
         self.module_env: Env = {}
         self._collect(tree)
-        self._locate_import_insert(tree)
         if module.endswith("core.timeutil"):
             # Inside timeutil itself ``DAY = 86400.0`` is a bare number;
             # the module is the root of trust, so seed its own constants.
@@ -331,25 +259,9 @@ class ModuleContext:
                         target = CONVERSION_CONSTANTS.get(alias.name)
                         if target:
                             self.global_facts[bound] = conversion(target)
-                            self.conversion_bindings[alias.name] = bound
                         unit = TIMEUTIL_UNIT_EXPORTS.get(alias.name)
                         if unit:
                             self.global_facts[bound] = unit_fact(unit)
-
-    def _locate_import_insert(self, tree: ast.Module) -> None:
-        """Line before which an added import keeps the module valid:
-        after the last top-level import, else after the docstring."""
-        line = 1
-        for node in tree.body:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                line = (getattr(node, "end_lineno", node.lineno) or
-                        node.lineno) + 1
-            elif isinstance(node, ast.Expr) \
-                    and isinstance(node.value, ast.Constant) \
-                    and isinstance(node.value.value, str) and line == 1:
-                line = (getattr(node, "end_lineno", node.lineno) or
-                        node.lineno) + 1
-        self.import_insert_line = line
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +279,6 @@ class FunctionSummary:
     declared_unit: Optional[str]
     returns_unit: Optional[str] = None
     returns_unordered: bool = False
-    returns_dataset_scale: bool = False
     #: parameter name -> 0-based index, for parameters the body mutates.
     mutated_params: Dict[str, int] = dataclasses.field(default_factory=dict)
     nondet_direct: bool = False
@@ -538,14 +449,10 @@ class DataflowProject:
                 inferred_unit = summary.declared_unit
                 if inferred_unit is None and is_time_unit(returned.unit):
                     inferred_unit = returned.unit
-                returns_scale = returned.scale == DATASET_SCALE \
-                    or _annotation_dataset(summary.node.returns)
                 if (inferred_unit != summary.returns_unit
-                        or returned.unordered != summary.returns_unordered
-                        or returns_scale != summary.returns_dataset_scale):
+                        or returned.unordered != summary.returns_unordered):
                     summary.returns_unit = inferred_unit
                     summary.returns_unordered = returned.unordered
-                    summary.returns_dataset_scale = returns_scale
                     changed = True
             if not changed:
                 break
@@ -597,7 +504,7 @@ class DataflowProject:
 class _RuleFlags:
     """Which rule families apply to the scope being analyzed."""
 
-    units: bool = False          # RPL101 + RPL102 + RPL103
+    units: bool = False          # RPL101 + RPL102
     order: bool = False          # RPL104
     inter_determinism: bool = False   # interprocedural RPL001
     inter_immutability: bool = False  # interprocedural RPL002
@@ -640,7 +547,6 @@ class _Analyzer:
             )
         self._emitting = False
         self._return_fact = BOTTOM
-        self._comp_scale: Optional[str] = None
         self.exit_env: Env = {}
 
     # -- driver ---------------------------------------------------------
@@ -678,22 +584,16 @@ class _Analyzer:
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 unit = _annotation_unit(arg.annotation) \
                     or unit_from_name(arg.arg)
-                fact = unit_fact(unit) if unit else BOTTOM
-                if _annotation_dataset(arg.annotation) \
-                        or arg.arg in DATASET_NAME_SEEDS:
-                    fact = dataclasses.replace(fact, scale=DATASET_SCALE)
-                if fact != BOTTOM:
-                    env[arg.arg] = fact
+                if unit:
+                    env[arg.arg] = unit_fact(unit)
         return env
 
     # -- reporting ------------------------------------------------------
-    def _flag(self, rule: str, node: ast.AST, message: str,
-              fix: Optional[Fix] = None) -> None:
+    def _flag(self, rule: str, node: ast.AST, message: str) -> None:
         if self._emitting:
             self.findings.append(
                 Finding(rule, self.path, getattr(node, "lineno", 1),
-                        getattr(node, "col_offset", 0), message,
-                        engine="dataflow", fix=fix)
+                        getattr(node, "col_offset", 0), message)
             )
 
     # -- block transfer --------------------------------------------------
@@ -779,7 +679,7 @@ class _Analyzer:
         iter_fact = self.eval(node.iter, env)
         if iter_fact.unordered:
             self._flag_order(node.iter, "a for-loop")
-        element = Fact(unit=iter_fact.unit, width=iter_fact.width)
+        element = Fact(unit=iter_fact.unit)
         if isinstance(node.target, ast.Name):
             env[node.target.id] = element
         else:
@@ -882,8 +782,6 @@ class _Analyzer:
             return self.ctx.global_facts[node.id]
         if node.id in self.ctx.module_env:
             return self.ctx.module_env[node.id]
-        if node.id in DATASET_NAME_SEEDS:
-            return dataset_scale()
         unit = unit_from_name(node.id)
         return unit_fact(unit) if unit else BOTTOM
 
@@ -900,10 +798,7 @@ class _Analyzer:
         base_fact = self.eval(base, env)
         if node.attr in COLUMN_PROPERTIES:
             unit = "seconds" if node.attr in TIME_COLUMN_PROPERTIES else None
-            return Fact(unit=unit, column=f"column property '.{node.attr}'",
-                        scale=DATASET_SCALE)
-        if node.attr in ROW_SURFACE_PROPERTIES and base_fact.is_dataset_scale:
-            return dataset_scale()
+            return Fact(unit=unit, column=f"column property '.{node.attr}'")
         unit = unit_from_name(node.attr)
         if unit:
             return unit_fact(unit)
@@ -918,11 +813,7 @@ class _Analyzer:
         column = base.column
         if column and not column.startswith("view of"):
             column = f"view of {column}"
-        # A constant index picks one row; masks/fancy indexing keep the
-        # result row-count-scale.
-        scalar_index = isinstance(node.slice, ast.Constant)
-        return Fact(unit=base.unit, width=base.width, column=column,
-                    scale=None if scalar_index else base.scale)
+        return Fact(unit=base.unit, column=column)
 
     def _eval_Starred(self, node: ast.Starred, env: Env,
                       order_ok: bool) -> Fact:
@@ -1014,17 +905,14 @@ class _Analyzer:
                             order_ok: bool) -> Tuple[Env, bool]:
         inner = dict(env)
         source_unordered = False
-        self._comp_scale = None
         for gen in node.generators:
             iter_fact = self.eval(gen.iter, inner)
-            if iter_fact.is_dataset_scale:
-                self._comp_scale = DATASET_SCALE
             if iter_fact.unordered:
                 if isinstance(node, (ast.SetComp, ast.DictComp)) or order_ok:
                     source_unordered = True
                 else:
                     self._flag_order(gen.iter, "a comprehension")
-            element = Fact(unit=iter_fact.unit, width=iter_fact.width)
+            element = Fact(unit=iter_fact.unit)
             if isinstance(gen.target, ast.Name):
                 inner[gen.target.id] = element
             else:
@@ -1038,10 +926,8 @@ class _Analyzer:
     def _eval_ListComp(self, node: ast.ListComp, env: Env,
                        order_ok: bool) -> Fact:
         inner, unordered = self._eval_comprehension(node, env, order_ok)
-        comp_scale = self._comp_scale
         fact = self.eval(node.elt, inner)
-        return dataclasses.replace(fact, unordered=unordered, column=None,
-                                   scale=comp_scale)
+        return dataclasses.replace(fact, unordered=unordered, column=None)
 
     _eval_GeneratorExp = _eval_ListComp
 
@@ -1081,7 +967,6 @@ class _Analyzer:
                         f"{ast.literal_eval(operand_node):g} folded into "
                         f"arithmetic — use core.timeutil.{constant} so the "
                         "unit is visible",
-                        fix=self._rpl102_fix(operand_node, constant),
                     )
         # Treat a magic literal as the conversion constant it encodes so
         # downstream unit inference stays coherent.
@@ -1182,48 +1067,6 @@ class _Analyzer:
 
         return BOTTOM
 
-    def _rpl102_fix(self, operand_node: ast.AST,
-                    constant_expr: str) -> Optional[Fix]:
-        """Span rewrite replacing a magic literal with the named
-        ``core.timeutil`` constant(s), reusing an existing import or
-        adding one."""
-        end_line = getattr(operand_node, "end_lineno", None)
-        end_col = getattr(operand_node, "end_col_offset", None)
-        if end_line is None or end_col is None or not self.path:
-            return None
-        rendered = constant_expr
-        imports_needed: List[str] = []
-        for name in CONVERSION_CONSTANTS:
-            if not re.search(rf"\b{name}\b", constant_expr):
-                continue
-            bound = self.ctx.conversion_bindings.get(name)
-            if bound is not None:
-                if bound != name:
-                    rendered = re.sub(rf"\b{name}\b", bound, rendered)
-            elif self.ctx.timeutil_aliases:
-                alias = sorted(self.ctx.timeutil_aliases)[0]
-                rendered = re.sub(rf"\b{name}\b", f"{alias}.{name}", rendered)
-            else:
-                imports_needed.append(name)
-        if " " in rendered:
-            rendered = f"({rendered})"
-        edits = [
-            Edit(operand_node.lineno, operand_node.col_offset,
-                 end_line, end_col, rendered)
-        ]
-        if imports_needed:
-            line = self.ctx.import_insert_line
-            names = ", ".join(sorted(set(imports_needed)))
-            edits.append(
-                Edit(line, 0, line, 0,
-                     f"from repro.core.timeutil import {names}\n")
-            )
-        return Fix(
-            description=f"replace magic time constant with "
-                        f"core.timeutil {constant_expr}",
-            edits=tuple(edits),
-        )
-
     def _mult_conversion(self, node: ast.AST, value: Fact,
                          conv: Fact) -> Fact:
         if value.unit == conv.conv:
@@ -1263,12 +1106,10 @@ class _Analyzer:
         if func_name is not None:
             if func_name in ANNOTATION_UNITS:
                 return unit_fact(ANNOTATION_UNITS[func_name])
-            if func_name in DATASET_PRODUCERS:
-                return dataset_scale()
             if func_name in {"float", "int", "abs", "round"}:
                 return dataclasses.replace(first, column=None)
             if func_name in {"min", "max", "sum"}:
-                return Fact(unit=first.unit, width=first.width)
+                return Fact(unit=first.unit)
             if func_name == "sorted":
                 return dataclasses.replace(first, unordered=False,
                                            column=None)
@@ -1351,52 +1192,19 @@ class _Analyzer:
             unit=summary.returns_unit if is_time_unit(summary.returns_unit)
             else None,
             unordered=summary.returns_unordered,
-            scale=DATASET_SCALE if summary.returns_dataset_scale else None,
         )
-
-    def _dtype_width(self, node: ast.AST) -> Optional[str]:
-        if isinstance(node, ast.Attribute):
-            return node.attr
-        if isinstance(node, ast.Name):
-            return node.id
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        return None
-
-    def _check_narrowing(self, node: ast.AST, width: Optional[str],
-                         operand: Fact, context: str) -> None:
-        if not self.flags.units or width is None:
-            return
-        if width in NARROW_WIDTHS and operand.is_time:
-            self._flag(
-                "RPL103", node,
-                f"{context} narrows a value in {operand.unit} to {width} — "
-                "second-resolution offsets over a multi-year trace "
-                "overflow int32 sums and exceed float32 precision; keep "
-                "int64/float64",
-            )
 
     def _eval_numpy_call(self, node: ast.Call, attr: str,
                          arg_facts: List[Fact], kw_facts: Dict[str, Fact],
                          env: Env) -> Fact:
         first = arg_facts[0] if arg_facts else BOTTOM
-        dtype_node = next(
-            (kw.value for kw in node.keywords if kw.arg == "dtype"), None
-        )
-        width = self._dtype_width(dtype_node) if dtype_node is not None else None
-        if width is not None:
-            self._check_narrowing(node, width, first, f"np.{attr}(dtype=...)")
         if attr in {"int8", "int16", "int32", "uint8", "uint16", "uint32",
                     "float16", "float32"}:
-            self._check_narrowing(node, attr, first, f"np.{attr}(...)")
-            return dataclasses.replace(first, width=attr, column=None)
+            return dataclasses.replace(first, column=None)
         if attr == "fromiter":
             if first.unordered:
                 self._flag_order(node, "np.fromiter")
-            return Fact(unit=first.unit, width=width)
-        if attr in ACCUMULATORS and first.is_narrow:
-            self._check_narrowing(node, first.width, first,
-                                  f"np.{attr}() accumulation")
+            return Fact(unit=first.unit)
         if attr in NP_UNIT_PRESERVING:
             unit = first.unit if first.is_time or first.unit == DIMENSIONLESS \
                 else None
@@ -1404,36 +1212,25 @@ class _Analyzer:
             if attr == "where" and len(arg_facts) == 3:
                 joined = arg_facts[1].join(arg_facts[2])
                 unit = joined.unit if is_time_unit(joined.unit) else None
-            scale = None if attr in SCALE_REDUCERS else first.scale
-            return Fact(unit=unit, width=width or first.width,
-                        unordered=False if ordered else first.unordered,
-                        scale=scale)
+            return Fact(unit=unit,
+                        unordered=False if ordered else first.unordered)
         return BOTTOM
 
     def _eval_method_call(self, node: ast.Call, attr: str, receiver: Fact,
                           arg_facts: List[Fact],
                           kw_facts: Dict[str, Fact]) -> Fact:
         if attr == "astype" and node.args:
-            width = self._dtype_width(node.args[0])
-            self._check_narrowing(node, width, receiver, ".astype(...)")
-            return dataclasses.replace(receiver, width=width, column=None)
-        if attr in ACCUMULATORS and receiver.is_narrow:
-            self._check_narrowing(node, receiver.width, receiver,
-                                  f".{attr}() accumulation")
+            return dataclasses.replace(receiver, column=None)
         if attr == "total_seconds":
             return unit_fact("seconds")
         if attr in FS_LISTING_METHODS:
             return Fact(unordered=True)
-        if attr in DATASET_VIEW_METHODS and receiver.is_dataset_scale:
-            return dataset_scale()
         if attr in {"keys", "values", "items"}:
             return Fact(unordered=receiver.unordered)
         if attr in METHOD_UNIT_PRESERVING:
-            scale = None if attr in SCALE_REDUCERS else receiver.scale
             return Fact(unit=receiver.unit
                         if receiver.is_time or receiver.unit == DIMENSIONLESS
-                        else None,
-                        width=receiver.width, scale=scale)
+                        else None)
         unit = unit_from_name(attr)
         if unit:
             return unit_fact(unit)

@@ -1,6 +1,6 @@
-"""RPL201–RPL213: the effects-engine rule checkers.
+"""RPL201, RPL202: the effects-engine rule checkers.
 
-Six rules over the :class:`~repro.devtools.effects.EffectsProject`
+Two event-loop rules over the :class:`~repro.devtools.effects.EffectsProject`
 summaries, scoped to the ``repro`` package (fixtures exercise them via
 synthetic ``src/repro/...`` trees, same as the dataflow rules):
 
@@ -13,26 +13,6 @@ synthetic ``src/repro/...`` trees, same as the dataflow rules):
   function CFG, so the hazard is caught through loop back edges too.
   ``with``/``async with`` bodies whose context mentions a lock are
   exempt regions.
-* **RPL203** — ``create_task``/``ensure_future`` results that nothing
-  retains (bare expression, or a local never read again): the loop only
-  holds weak references, so the task can be garbage-collected mid-run
-  and its exceptions are silently lost.
-* **RPL211** — process-pool submissions (``ProcessPoolExecutor`` /
-  ``multiprocessing`` ``Pool``) whose work functions are lambdas,
-  capture-bearing closures, read mutable module globals not assigned by
-  the pool initializer, or draw unseeded RNG — each a hole in the
-  bit-identity contract of ``engine.parallel.run_shards``.
-* **RPL212** — resource lifetime: ``open``/``mmap``/``tempfile``
-  resources need a ``with``, a ``.close()``, a wrapper
-  (``contextlib.closing``, ``os.fdopen``), or to be returned (which
-  marks the function ``returns_resource`` so *callers* that discard the
-  result are flagged instead); buffer views built over a with-managed
-  resource must not escape the block.
-* **RPL213** — durable writes in ``core``/``serve``/``engine``/
-  ``robustness`` must follow the repo's write-then-rename /
-  blob-before-manifest idiom: an in-place ``open(.., "w")`` or
-  ``write_text`` with no rename marker in the function is a torn-file
-  window.
 """
 
 from __future__ import annotations
@@ -49,44 +29,12 @@ from repro.devtools.effects import (
     executor_exempt_nodes,
     is_executor_handoff,
     _dotted,
-    _qual_prefix,
 )
 from repro.devtools.rules import Finding, module_name, module_parts
-
-#: Packages whose durable files must be written atomically (RPL213).
-ATOMIC_WRITE_PACKAGES = frozenset({"core", "serve", "engine", "robustness"})
 
 #: Context-manager expressions matching this are treated as lock
 #: regions for RPL202 (reads/writes inside are protected).
 _LOCK_NAME_RE = re.compile(r"lock|mutex|semaphore|condition", re.IGNORECASE)
-
-#: Work-function parameter names that satisfy the RPL211 seed contract.
-_SEED_PARAM_RE = re.compile(r"seed|rng|entropy", re.IGNORECASE)
-
-#: Callees that take ownership of a resource passed as an argument.
-_RESOURCE_WRAPPERS = frozenset(
-    {"closing", "enter_context", "push", "callback", "register", "fdopen",
-     "close", "detach"}
-)
-
-#: ``(module, name)`` calls that return an OS resource the caller owns.
-_RESOURCE_CALLS = frozenset(
-    {("gzip", "open"), ("bz2", "open"), ("lzma", "open"), ("mmap", "mmap"),
-     ("tempfile", "NamedTemporaryFile"), ("tempfile", "TemporaryDirectory"),
-     ("tempfile", "mkstemp"), ("tempfile", "mkdtemp"), ("io", "open")}
-)
-
-_POOL_SUBMIT_METHODS = frozenset(
-    {"submit", "map", "imap", "imap_unordered", "starmap", "apply_async"}
-)
-
-
-def _parents(fn: ast.AST) -> Dict[int, ast.AST]:
-    out: Dict[int, ast.AST] = {}
-    for node in ast.walk(fn):
-        for child in ast.iter_child_nodes(node):
-            out[id(child)] = node
-    return out
 
 
 def _own_walk(fn: ast.AST) -> Iterable[ast.AST]:
@@ -107,7 +55,7 @@ def _flag(findings: List[Finding], rule: str, path: str, node: ast.AST,
           message: str) -> None:
     findings.append(
         Finding(rule, path, getattr(node, "lineno", 1),
-                getattr(node, "col_offset", 0), message, engine="effects")
+                getattr(node, "col_offset", 0), message)
     )
 
 
@@ -324,578 +272,6 @@ class _SharedStateAnalyzer:
 
 
 # ---------------------------------------------------------------------------
-# RPL203 — fire-and-forget tasks
-# ---------------------------------------------------------------------------
-def _is_task_spawn(ctx, call: ast.Call) -> bool:
-    resolved = _qual_prefix(ctx, call.func)
-    if resolved is not None and resolved[0] == "asyncio" \
-            and resolved[1] in ("create_task", "ensure_future"):
-        return True
-    return (isinstance(call.func, ast.Attribute)
-            and call.func.attr in ("create_task", "ensure_future"))
-
-
-def check_fire_and_forget(
-    fn: ast.AST, module: str, project: EffectsProject, path: str,
-    findings: List[Finding],
-) -> None:
-    ctx = project.contexts[module]
-    parents = _parents(fn)
-    name_loads: Dict[str, int] = {}
-    for node in _own_walk(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name_loads[node.id] = name_loads.get(node.id, 0) + 1
-    for node in _own_walk(fn):
-        if not (isinstance(node, ast.Call) and _is_task_spawn(ctx, node)):
-            continue
-        parent = parents.get(id(node))
-        if isinstance(parent, ast.Expr):
-            _flag(
-                findings, "RPL203", path, node,
-                "fire-and-forget task: the loop holds only a weak "
-                "reference, so the task can be garbage-collected mid-run "
-                "and its exception silently lost — retain the result "
-                "(e.g. on self or in a set) or chain .add_done_callback()",
-            )
-        elif isinstance(parent, ast.Assign) and len(parent.targets) == 1 \
-                and isinstance(parent.targets[0], ast.Name):
-            if name_loads.get(parent.targets[0].id, 0) == 0:
-                _flag(
-                    findings, "RPL203", path, node,
-                    f"task assigned to '{parent.targets[0].id}' which is "
-                    "never read again — the reference dies with the scope; "
-                    "store it somewhere that outlives this frame or add a "
-                    "done-callback",
-                )
-
-
-# ---------------------------------------------------------------------------
-# RPL211 — process-pool captures
-# ---------------------------------------------------------------------------
-def _mutable_module_globals(tree: ast.Module) -> Set[str]:
-    """Module-level names bound to mutable literals/constructors."""
-    mutable: Set[str] = set()
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None:
-            continue
-        is_mutable = isinstance(value, (ast.List, ast.Dict, ast.Set,
-                                        ast.ListComp, ast.DictComp,
-                                        ast.SetComp))
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
-                and value.func.id in ("list", "dict", "set", "bytearray",
-                                      "deque", "defaultdict", "Counter"):
-            is_mutable = True
-        if not is_mutable:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                mutable.add(target.id)
-    return mutable
-
-
-def _globals_assigned_by(fn: ast.AST) -> Set[str]:
-    return {
-        name for node in ast.walk(fn) if isinstance(node, ast.Global)
-        for name in node.names
-    }
-
-
-def _free_names(fn: ast.AST) -> Set[str]:
-    """Names a nested function loads but does not bind locally."""
-    bound = {a.arg for a in list(fn.args.posonlyargs) + list(fn.args.args)
-             + list(fn.args.kwonlyargs)}
-    if fn.args.vararg:
-        bound.add(fn.args.vararg.arg)
-    if fn.args.kwarg:
-        bound.add(fn.args.kwarg.arg)
-    loads: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Store):
-                bound.add(node.id)
-            elif isinstance(node.ctx, ast.Load):
-                loads.add(node.id)
-    import builtins
-
-    return {name for name in loads - bound if not hasattr(builtins, name)}
-
-
-def _work_fn_rng_reason(ctx, fn: ast.AST) -> Optional[str]:
-    """Unseeded RNG inside a pool work function (no seed/rng param)."""
-    from repro.devtools.rules import NP_RANDOM_ALLOWED
-
-    params = [a.arg for a in list(fn.args.posonlyargs) + list(fn.args.args)
-              + list(fn.args.kwonlyargs)]
-    if any(_SEED_PARAM_RE.search(p) for p in params):
-        return None
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        resolved = _qual_prefix(ctx, node.func)
-        if resolved is None:
-            continue
-        module, name = resolved
-        if module == "random":
-            return f"random.{name}() draws from process-global RNG state"
-        if module in ("numpy.random", "np.random") \
-                and name not in NP_RANDOM_ALLOWED:
-            return f"numpy.random.{name}() draws unseeded entropy"
-        if name == "default_rng" and not node.args and not node.keywords:
-            return "default_rng() without a SeedSequence-derived seed"
-    return None
-
-
-def check_pool_captures(
-    fn: ast.AST, module: str, tree: ast.Module, project: EffectsProject,
-    path: str, findings: List[Finding],
-) -> None:
-    ctx = project.contexts[module]
-    pool_names: Set[str] = set()
-    initializer_names: Set[str] = set()
-    for node in _own_walk(fn):
-        ctor: Optional[ast.Call] = None
-        target_name: Optional[str] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Call):
-            ctor, target_name = node.value, node.targets[0].id
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if isinstance(item.context_expr, ast.Call) \
-                        and isinstance(item.optional_vars, ast.Name):
-                    ctor = item.context_expr
-                    target_name = item.optional_vars.id
-        if ctor is None or target_name is None:
-            continue
-        func = ctor.func
-        is_pool = (isinstance(func, ast.Name)
-                   and func.id == "ProcessPoolExecutor") \
-            or (isinstance(func, ast.Attribute)
-                and func.attr in ("Pool", "ProcessPoolExecutor"))
-        if not is_pool:
-            continue
-        pool_names.add(target_name)
-        for kw in ctor.keywords:
-            if kw.arg == "initializer" and isinstance(kw.value, ast.Name):
-                initializer_names.add(kw.value.id)
-    if not pool_names:
-        return
-
-    local_defs = {
-        node.name: node for node in _own_walk(fn)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    module_defs = {
-        node.name: node for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    allowed_globals: Set[str] = set()
-    for name in initializer_names:
-        init_fn = local_defs.get(name) or module_defs.get(name)
-        if init_fn is not None:
-            allowed_globals |= _globals_assigned_by(init_fn)
-    mutable_globals = _mutable_module_globals(tree)
-
-    for node in _own_walk(fn):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _POOL_SUBMIT_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in pool_names):
-            continue
-        if not node.args:
-            continue
-        work = node.args[0]
-        if isinstance(work, ast.Lambda):
-            _flag(
-                findings, "RPL211", path, work,
-                "lambda submitted to a process pool: unpicklable under "
-                "spawn and its captures are invisible to the bit-identity "
-                "contract — use a module-level function",
-            )
-        elif isinstance(work, ast.Name):
-            work_fn = local_defs.get(work.id)
-            if work_fn is not None:
-                captured = sorted(
-                    _free_names(work_fn) - set(module_defs) - allowed_globals
-                )
-                if captured:
-                    _flag(
-                        findings, "RPL211", path, work,
-                        f"nested work function '{work.id}' captures "
-                        f"{captured} from the enclosing frame; captures do "
-                        "not exist in spawned workers and mutate invisibly "
-                        "under fork — pass state via initargs or arguments",
-                    )
-                work_fn_node: Optional[ast.AST] = work_fn
-            else:
-                work_fn_node = module_defs.get(work.id)
-            if work_fn_node is not None:
-                rng_reason = _work_fn_rng_reason(ctx, work_fn_node)
-                if rng_reason is not None:
-                    _flag(
-                        findings, "RPL211", path, work,
-                        f"pool work function '{work.id}' is RNG-bearing "
-                        f"without a seed parameter: {rng_reason}; thread a "
-                        "SeedSequence-derived seed through the task instead",
-                    )
-                reads = {
-                    n.id for n in ast.walk(work_fn_node)
-                    if isinstance(n, ast.Name)
-                    and isinstance(n.ctx, ast.Load)
-                }
-                bad = sorted(
-                    (reads & mutable_globals) - allowed_globals
-                    - _globals_assigned_by(work_fn_node)
-                )
-                if bad:
-                    _flag(
-                        findings, "RPL211", path, work,
-                        f"pool work function '{work.id}' reads mutable "
-                        f"module global(s) {bad} not assigned by the pool "
-                        "initializer; worker copies diverge silently — "
-                        "prime them in the initializer or pass them as "
-                        "arguments",
-                    )
-        for extra in node.args[1:]:
-            if isinstance(extra, ast.Name) and extra.id in mutable_globals:
-                _flag(
-                    findings, "RPL211", path, extra,
-                    f"mutable module global '{extra.id}' passed into a "
-                    "process pool; each worker gets a divergent copy — "
-                    "pass an immutable snapshot instead",
-                )
-
-
-# ---------------------------------------------------------------------------
-# RPL212 — resource lifetime & buffer escape
-# ---------------------------------------------------------------------------
-def _resource_call_reason(ctx, call: ast.Call,
-                          project: EffectsProject, module: str,
-                          class_key: Optional[str]) -> Optional[str]:
-    func = call.func
-    if isinstance(func, ast.Name) and func.id == "open" \
-            and func.id not in ctx.from_imports:
-        return "open()"
-    resolved = _qual_prefix(ctx, func)
-    if resolved is not None and resolved in _RESOURCE_CALLS:
-        return f"{resolved[0]}.{resolved[1]}()"
-    if isinstance(func, ast.Attribute) and func.attr == "open" \
-            and resolved is None:
-        # ``.open()`` on an untyped receiver is a file open *unless* it
-        # resolves to a project function (e.g. LiveDataset.open).
-        if not project.resolve_call(module, func, class_key):
-            receiver = _dotted(func.value) or "<expr>"
-            return f"{receiver}.open()"
-    return None
-
-
-def _name_has_close(fn: ast.AST, name: str) -> bool:
-    for node in _own_walk(fn):
-        if isinstance(node, ast.Attribute) \
-                and node.attr in ("close", "closed", "__exit__") \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == name:
-            return True
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Name) and expr.id == name:
-                    return True
-        if isinstance(node, ast.Call):
-            wrapper = None
-            if isinstance(node.func, ast.Attribute):
-                wrapper = node.func.attr
-            elif isinstance(node.func, ast.Name):
-                wrapper = node.func.id
-            if wrapper in _RESOURCE_WRAPPERS and any(
-                isinstance(a, ast.Name) and a.id == name for a in node.args
-            ):
-                return True
-    return False
-
-
-def _escapes_via(value: ast.expr, name: str) -> bool:
-    """Does the handle ``name`` itself escape through ``value``?
-    ``return fh`` / ``return (a, fh)`` / ``return closing(fh)`` do;
-    ``return fh.read()`` only returns derived data — the handle stays
-    this function's problem."""
-    receivers = {
-        id(node.value) for node in ast.walk(value)
-        if isinstance(node, ast.Attribute)
-    }
-    return any(
-        isinstance(sub, ast.Name) and sub.id == name
-        and id(sub) not in receivers
-        for sub in ast.walk(value)
-    )
-
-
-def _name_is_returned(fn: ast.AST, name: str) -> bool:
-    for node in _own_walk(fn):
-        if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)) \
-                and node.value is not None \
-                and _escapes_via(node.value, name):
-            return True
-    return False
-
-
-def seed_resource_returns(project: EffectsProject) -> None:
-    """Mark every summary whose function hands back an open resource
-    (directly returned, or bound to a name that is returned without a
-    local close).  Runs at project-build time so callers see callee
-    summaries regardless of file order."""
-    for effects in project.functions.values():
-        ctx = project.contexts[effects.module]
-        fn = effects.node
-        parents = _parents(fn)
-        for node in _own_walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            reason = _resource_call_reason(ctx, node, project,
-                                           effects.module,
-                                           effects.class_key)
-            if reason is None:
-                continue
-            parent = parents.get(id(node))
-            if isinstance(parent, (ast.Return, ast.Yield)):
-                effects.returns_resource = True
-            elif isinstance(parent, ast.Assign) \
-                    and len(parent.targets) == 1 \
-                    and isinstance(parent.targets[0], ast.Name) \
-                    and _name_is_returned(fn, parent.targets[0].id) \
-                    and not _name_has_close(fn, parent.targets[0].id):
-                effects.returns_resource = True
-
-
-def check_resource_lifetime(
-    fn: ast.AST, module: str, class_key: Optional[str],
-    project: EffectsProject, path: str, findings: List[Finding],
-    summary_key: Optional[str] = None,
-) -> None:
-    ctx = project.contexts[module]
-    parents = _parents(fn)
-    local_types = project._local_types(module, fn)
-    managed_names: Set[str] = set()
-    for node in _own_walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        reason = _resource_call_reason(ctx, node, project, module, class_key)
-        if reason is None:
-            continue
-        parent = parents.get(id(node))
-        if isinstance(parent, ast.withitem):
-            if isinstance(parent.optional_vars, ast.Name):
-                managed_names.add(parent.optional_vars.id)
-            continue
-        resolved = _qual_prefix(ctx, node.func)
-        if resolved is not None and resolved[1] in ("mkstemp", "mkdtemp"):
-            # fd/path tuples: managed when the fd reaches os.fdopen /
-            # os.close (the repo's atomic-write idiom).
-            if isinstance(parent, ast.Assign) \
-                    and isinstance(parent.targets[0], ast.Tuple) \
-                    and parent.targets[0].elts \
-                    and isinstance(parent.targets[0].elts[0], ast.Name):
-                fd_name = parent.targets[0].elts[0].id
-                if _name_has_close(fn, fd_name):
-                    continue
-            _flag(
-                findings, "RPL212", path, node,
-                f"{reason} creates an fd nothing closes — pass it to "
-                "os.fdopen() under a context manager (see core.io)",
-            )
-            continue
-        if isinstance(parent, ast.Assign) and len(parent.targets) == 1:
-            target = parent.targets[0]
-            if isinstance(target, ast.Name):
-                if _name_has_close(fn, target.id):
-                    continue
-                if _name_is_returned(fn, target.id):
-                    if summary_key is not None:
-                        project.functions[summary_key].returns_resource = True
-                    continue
-                _flag(
-                    findings, "RPL212", path, node,
-                    f"{reason} result bound to '{target.id}' is never "
-                    "closed, context-managed, or returned — the handle "
-                    "leaks until GC finalizes it at an arbitrary point",
-                )
-                continue
-            if isinstance(target, ast.Attribute):
-                # Ownership moved onto an object; require a finalizer or
-                # close elsewhere — beyond one-function scope, allow it.
-                continue
-        if isinstance(parent, ast.Call):
-            wrapper = None
-            if isinstance(parent.func, ast.Attribute):
-                wrapper = parent.func.attr
-            elif isinstance(parent.func, ast.Name):
-                wrapper = parent.func.id
-            if wrapper in _RESOURCE_WRAPPERS:
-                continue
-            _flag(
-                findings, "RPL212", path, node,
-                f"{reason} passed straight into {wrapper or 'a call'}(); "
-                "no reference survives to close it — open under a `with` "
-                "and pass the handle",
-            )
-            continue
-        if isinstance(parent, ast.Return):
-            if summary_key is not None:
-                project.functions[summary_key].returns_resource = True
-            continue
-        if isinstance(parent, ast.Expr):
-            _flag(
-                findings, "RPL212", path, node,
-                f"{reason} result discarded — the resource is opened and "
-                "immediately leaked",
-            )
-
-    # Callers that discard a resource-returning function's result.
-    for node in _own_walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        parent = parents.get(id(node))
-        if not isinstance(parent, ast.Expr):
-            continue
-        for key in project.resolve_call(module, node.func, class_key,
-                                        local_types):
-            callee = project.functions.get(key)
-            if callee is not None and callee.returns_resource:
-                _flag(
-                    findings, "RPL212", path, node,
-                    f"result of {callee.qualname}() is discarded but "
-                    "carries an open resource the caller must close",
-                )
-                break
-
-    # Buffer escape: views built over a with-managed resource must not
-    # outlive the block.
-    for node in _own_walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        is_view = (isinstance(node.func, ast.Name)
-                   and node.func.id == "memoryview") \
-            or (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "frombuffer")
-        if not is_view:
-            continue
-        over_managed = any(
-            isinstance(sub, ast.Name) and sub.id in managed_names
-            for arg in node.args for sub in ast.walk(arg)
-        )
-        if not over_managed:
-            continue
-        parent = parents.get(id(node))
-        escapes = isinstance(parent, ast.Return) \
-            or (isinstance(parent, ast.Assign)
-                and any(isinstance(t, ast.Attribute)
-                        for t in parent.targets)) \
-            or (isinstance(parent, ast.Call)
-                and isinstance(parent.func, ast.Attribute)
-                and parent.func.attr == "adopt_buffers")
-        if not escapes and isinstance(parent, ast.Assign) \
-                and isinstance(parent.targets[0], ast.Name):
-            escapes = _name_is_returned(fn, parent.targets[0].id)
-        if escapes:
-            _flag(
-                findings, "RPL212", path, node,
-                "buffer view over a with-managed resource escapes the "
-                "block; the backing store closes at exit and the view "
-                "dangles — copy the data or keep the store open for the "
-                "view's lifetime (np.memmap keeps its own reference and "
-                "is safe)",
-            )
-
-
-# ---------------------------------------------------------------------------
-# RPL213 — atomic write idiom
-# ---------------------------------------------------------------------------
-def _write_mode_of(call: ast.Call) -> Optional[str]:
-    mode: Optional[ast.expr] = None
-    if len(call.args) >= 2:
-        mode = call.args[1]
-    for kw in call.keywords:
-        if kw.arg == "mode":
-            mode = kw.value
-    if mode is None:
-        return None
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return mode.value
-    return None
-
-
-def _has_rename_marker(ctx, fn: ast.AST) -> bool:
-    for node in _own_walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        resolved = _qual_prefix(ctx, node.func)
-        if resolved is not None and resolved[0] in ("os", "tempfile") \
-                and resolved[1] in ("replace", "rename", "mkstemp",
-                                    "mkdtemp", "NamedTemporaryFile"):
-            return True
-        if isinstance(node.func, ast.Attribute) \
-                and node.func.attr in ("replace", "rename") \
-                and len(node.args) == 1:
-            return True
-    return False
-
-
-def _mentions_temp(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        name = None
-        if isinstance(sub, ast.Name):
-            name = sub.id
-        elif isinstance(sub, ast.Attribute):
-            name = sub.attr
-        if name is not None and ("tmp" in name.lower()
-                                 or "temp" in name.lower()):
-            return True
-    return False
-
-
-def check_atomic_writes(
-    fn: ast.AST, module: str, project: EffectsProject, path: str,
-    findings: List[Finding],
-) -> None:
-    ctx = project.contexts[module]
-    if _has_rename_marker(ctx, fn):
-        return
-    for node in _own_walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        target: Optional[ast.AST] = None
-        mode: Optional[str] = None
-        if isinstance(node.func, ast.Name) and node.func.id == "open":
-            mode = _write_mode_of(node)
-            target = node.args[0] if node.args else None
-        elif isinstance(node.func, ast.Attribute):
-            if node.func.attr == "open":
-                mode = _write_mode_of(node)
-                target = node.func.value
-            elif node.func.attr in ("write_text", "write_bytes"):
-                mode = "w"
-                target = node.func.value
-        if mode is None or not any(c in mode for c in "wx") or "a" in mode:
-            continue
-        if target is not None and _mentions_temp(target):
-            continue
-        _flag(
-            findings, "RPL213", path, node,
-            "in-place write: a crash mid-write leaves a torn file other "
-            "readers can see — write to a temp file in the same directory "
-            "and os.replace() it over the target (core.io._atomic_write), "
-            "staging blobs before any manifest references them",
-        )
-
-
-# ---------------------------------------------------------------------------
 # module driver
 # ---------------------------------------------------------------------------
 def _iter_functions(
@@ -920,35 +296,21 @@ def check_module(path: Path, tree: ast.Module,
     if not parts or parts[0] != "repro":
         return []
     module = module_name(path)
-    package = module.split(".")[1] if "." in module else ""
     rel = path.as_posix()
     findings: List[Finding] = []
     functions: List[Tuple[ast.AST, Optional[str], str]] = []
     _iter_functions(tree.body, module, None, "", functions)
     for fn, class_key, qualname in functions:
-        summary_key = f"{module}.{qualname}" \
-            if f"{module}.{qualname}" in project.functions else None
         if isinstance(fn, ast.AsyncFunctionDef):
             project.analyzed_async.add((module, qualname, fn.lineno))
             check_async_blocking(fn, module, class_key, project, rel,
                                  findings)
             _SharedStateAnalyzer(fn, qualname, rel).run(findings)
-        check_fire_and_forget(fn, module, project, rel, findings)
-        check_pool_captures(fn, module, tree, project, rel, findings)
-        check_resource_lifetime(fn, module, class_key, project, rel,
-                                findings, summary_key)
-        if package in ATOMIC_WRITE_PACKAGES:
-            check_atomic_writes(fn, module, project, rel, findings)
     findings.sort(key=lambda f: (f.line, f.col, f.rule, f.message))
     return findings
 
 
 __all__ = [
-    "ATOMIC_WRITE_PACKAGES",
     "check_async_blocking",
-    "check_atomic_writes",
-    "check_fire_and_forget",
     "check_module",
-    "check_pool_captures",
-    "check_resource_lifetime",
 ]

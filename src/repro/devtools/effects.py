@@ -1,10 +1,9 @@
-"""The effects engine — concurrency & resource-safety analysis
-(``--engine=effects``).
+"""The effects engine — event-loop safety analysis.
 
 Third analysis family of *reprolint*, layered on the same per-function
 CFGs (:mod:`repro.devtools.cfg`) and worklist-fixpoint style as the
 dataflow engine.  Where the dataflow engine tracks *value* facts (time
-units, dtypes, orderedness), this one tracks *effect* summaries:
+units, orderedness, column views), this one tracks *effect* summaries:
 
 * **async-effect** — is a function a coroutine, and is every await-free
   stretch of it loop-safe?
@@ -13,12 +12,8 @@ units, dtypes, orderedness), this one tracks *effect* summaries:
   Propagated interprocedurally through a callee fixpoint so an async
   handler that calls a sync helper three frames above ``open()`` is
   still caught at the handler.
-* **capture-set** — what module globals / closure cells a function
-  drags into a process pool.
-* **resource-return** — does a function hand its caller an open OS
-  resource it must manage?
 
-The rule checkers themselves (RPL201–RPL213) live in
+The rule checkers themselves (RPL201, RPL202) live in
 :mod:`repro.devtools.effect_rules`; this module builds the
 :class:`EffectsProject` — per-module import contexts, class attribute
 type inference (so ``self.dead_letters.put(...)`` resolves through the
@@ -204,15 +199,8 @@ class FunctionEffects:
     blocking_reason: str = ""
     #: callee key the blocking effect arrived through (chain rendering).
     blocking_via: Optional[str] = None
-    #: does a return value carry an open OS resource?
-    returns_resource: bool = False
     #: resolved callee summary keys (sync calls only).
     callees: Set[str] = dataclasses.field(default_factory=set)
-
-    @property
-    def package(self) -> str:
-        parts = self.module.split(".")
-        return parts[1] if len(parts) > 1 and parts[0] == "repro" else ""
 
 
 @dataclasses.dataclass
@@ -268,10 +256,6 @@ class EffectsProject:
         self._seed_blocking()
         self._resolve_callees()
         self._propagate_blocking()
-        # Deferred import: the rule module owns the resource classifier.
-        from repro.devtools.effect_rules import seed_resource_returns
-
-        seed_resource_returns(self)
 
     # -- collection -----------------------------------------------------
     def _collect(self, module: str, tree: ast.Module) -> None:
@@ -561,7 +545,7 @@ class EffectsProject:
 # ---------------------------------------------------------------------------
 def analyze_module(path: Path, tree: ast.Module,
                    project: EffectsProject) -> List[Finding]:
-    """Effects findings (RPL201–RPL213) for one module."""
+    """Effects findings (RPL201, RPL202) for one module."""
     from repro.devtools.effect_rules import check_module
 
     return check_module(path, tree, project)

@@ -1,7 +1,7 @@
 """Join-semilattices of abstract facts for the dataflow engine.
 
 Every value the engine tracks is summarized by one :class:`Fact` — a
-product of four independent little lattices:
+product of three independent little lattices:
 
 * **unit** — the physical time unit of a number (``"seconds"``,
   ``"hours"``, ``"days"``, ...), ``DIMENSIONLESS`` for plain counts,
@@ -11,22 +11,12 @@ product of four independent little lattices:
   *target* unit in the separate ``conv`` component: a conversion
   constant is a value measured in seconds whose division semantics
   produce the target unit (``seconds / DAY -> days``).
-* **width** — the numpy dtype width of an array expression
-  (``"int32"``, ``"float64"``, ...).  The analysis only needs to tell
-  *narrow* dtypes (which overflow or lose second resolution over a
-  four-year trace) from wide ones.
 * **unordered** — True when the value's iteration order depends on set
   hashing or filesystem listing order; anything folded out of such an
   iteration can differ between serial and sharded runs.
 * **column** — a human-readable origin description when the value is a
   view of a ``ColumnStore``/``FOTDataset`` column (the immutability
   taint used by the interprocedural RPL002 check).
-* **scale** — :data:`DATASET_SCALE` when the value's length is the
-  ticket count (a dataset view, a column, a loader result): the taint
-  the perf engine (:mod:`repro.devtools.perf_rules`) uses so RPL3xx
-  rules only fire where *n* is actually large.  Group-by dicts, scalar
-  reductions and per-row elements drop the taint — a loop over the
-  handful of IDCs is not a loop over 290k tickets.
 
 Joins are pointwise; each component has finite height (``None`` →
 concrete → :data:`TOP`), so the worklist fixpoint in
@@ -38,16 +28,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
-#: Conflicting information — the top element of the unit/width/column
+#: Conflicting information — the top element of the unit/conv/column
 #: component lattices.
 TOP = "<mixed>"
 
 #: Unit name for plain numbers (counts, ratios, codes).
 DIMENSIONLESS = "dimensionless"
-
-#: Scale-component value for anything whose length tracks the ticket
-#: count (dataset views, columns, loader results).
-DATASET_SCALE = "dataset"
 
 #: Concrete time units the engine reasons about, smallest first.
 TIME_UNITS = (
@@ -57,18 +43,6 @@ TIME_UNITS = (
     "days",
     "months",
     "years",
-)
-
-#: numpy dtype names considered too narrow for second-resolution
-#: timestamps spanning a multi-year trace (int32 sums overflow; float32
-#: cannot even represent 1.2e8 seconds to the second).
-NARROW_WIDTHS = frozenset(
-    {"int8", "int16", "int32", "uint8", "uint16", "uint32",
-     "float16", "float32", "half", "single"}
-)
-
-WIDE_WIDTHS = frozenset(
-    {"int64", "uint64", "float64", "int", "float", "double", "longlong"}
 )
 
 
@@ -93,10 +67,8 @@ class Fact:
 
     unit: Optional[str] = None
     conv: Optional[str] = None
-    width: Optional[str] = None
     unordered: bool = False
     column: Optional[str] = None
-    scale: Optional[str] = None
 
     def join(self, other: "Fact") -> "Fact":
         if self == other:
@@ -104,10 +76,8 @@ class Fact:
         return Fact(
             unit=join_component(self.unit, other.unit),
             conv=join_component(self.conv, other.conv),
-            width=join_component(self.width, other.width),
             unordered=self.unordered or other.unordered,
             column=join_component(self.column, other.column),
-            scale=join_component(self.scale, other.scale),
         )
 
     # convenience predicates -------------------------------------------
@@ -119,27 +89,12 @@ class Fact:
     def is_conversion(self) -> bool:
         return self.conv is not None and self.conv != TOP
 
-    @property
-    def is_narrow(self) -> bool:
-        return self.width in NARROW_WIDTHS
-
-    @property
-    def is_dataset_scale(self) -> bool:
-        return self.scale == DATASET_SCALE
-
     def with_unit(self, unit: Optional[str]) -> "Fact":
         return dataclasses.replace(self, unit=unit, conv=None)
-
-    def ordered(self) -> "Fact":
-        return dataclasses.replace(self, unordered=False)
 
 
 #: The bottom element — nothing known.
 BOTTOM = Fact()
-
-
-def seconds() -> Fact:
-    return Fact(unit="seconds")
 
 
 def unit_fact(unit: str) -> Fact:
@@ -154,16 +109,6 @@ def conversion(target: str) -> Fact:
 
 def dimensionless() -> Fact:
     return Fact(unit=DIMENSIONLESS)
-
-
-def unordered_fact() -> Fact:
-    return Fact(unordered=True)
-
-
-def dataset_scale(unit: Optional[str] = None,
-                  column: Optional[str] = None) -> Fact:
-    """A value whose length is the ticket count (rows or a column)."""
-    return Fact(unit=unit, column=column, scale=DATASET_SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +129,17 @@ def join_envs(a: Optional[Env], b: Env) -> Env:
     return out
 
 
-def envs_equal(a: Optional[Env], b: Optional[Env]) -> bool:
-    return a == b
-
-
 __all__ = [
     "TOP",
-    "DATASET_SCALE",
     "DIMENSIONLESS",
     "TIME_UNITS",
-    "NARROW_WIDTHS",
-    "WIDE_WIDTHS",
     "BOTTOM",
     "Fact",
     "Env",
     "is_time_unit",
     "join_component",
     "join_envs",
-    "envs_equal",
-    "seconds",
     "unit_fact",
     "conversion",
     "dimensionless",
-    "dataset_scale",
-    "unordered_fact",
 ]

@@ -1,12 +1,19 @@
-"""``reprolint`` — the repo-specific AST invariant checker.
+"""``reprolint`` — the repo-specific invariant checker.
 
 Run it over the default tree::
 
     python -m repro.devtools.lint src tests benchmarks
-    repro lint                      # CLI alias, same defaults
+    fouryears lint                  # CLI alias, same defaults
 
-Exit status is 0 when every finding is either inline-suppressed or
-recorded in the baseline file, 1 otherwise (2 for usage errors).
+One pass runs every rule in the catalog (``--list-rules``): the
+syntactic RPL001/RPL002 checks (:mod:`repro.devtools.rules`), the
+value-flow pass (:mod:`repro.devtools.dataflow`: RPL101/102/104 plus
+the interprocedural forms of RPL001/002) and the event-loop pass
+(:mod:`repro.devtools.effects`: RPL201/202).
+
+Exit status is 0 when every finding is inline-suppressed, 1 when any
+finding remains, and 2 for usage errors (a missing or non-Python path,
+a file that does not parse).
 
 **Suppressions** are inline comments with *required* justification
 text::
@@ -17,59 +24,29 @@ A suppression without the ``-- reason`` tail does not suppress anything
 and is itself reported (RPL000), as is a suppression that matches no
 finding on its line — so stale suppressions cannot rot in place.
 
-**Baseline**: ``--write-baseline`` records the current findings into a
-JSON file (default ``reprolint-baseline.json``) keyed by content
-fingerprints (engine + rule + path + source line text), so pre-existing
-accepted findings survive unrelated line drift without blocking CI.
-The engine participates in the fingerprint so an AST-engine baseline
-entry can never mask a dataflow/effects finding at the same location.
-New code starts from an empty baseline.
-
-**Engines** are cumulative: ``ast`` ⊂ ``dataflow`` ⊂ ``effects`` ⊂
-``perf`` — ``--engine perf`` runs the syntactic rules, the
-abstract-interpretation pass, the concurrency/resource-safety pass,
-*and* the scale-hazard pass (RPL301–305 over the hot packages), so one
-SARIF upload covers the whole catalog.
-
-**Fixes**: rules may attach span-based rewrites to findings;
-``--fix`` applies them (looping lint→fix until stable, so a second
-``--fix`` is always a no-op) and SARIF output carries them as
-``fixes`` for IDE quick-fix surfaces.  ``--update-baseline`` rewrites
-the baseline keeping only fingerprints that still match a current
-finding — entries for deleted files or fixed findings are pruned and
-counted, and no new debt is ever added silently.
-
-``--changed-since <ref>`` restricts *reported* findings to files that
-differ from a git ref (analysis still sees the whole tree, so
-interprocedural summaries stay accurate) — the fast PR signal next to
-the full CI job.
-
 Reporters: human ``file:line:col: RPLxxx message`` (default) and
-``--format json`` emitting ``{"version", "findings", "summary"}``.
+``--format sarif`` for code-scanning upload.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import hashlib
 import io
-import json
 import re
 import sys
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.devtools.rules import RULES, Finding, Project, check_file
+from repro.devtools.dataflow import DataflowProject
+from repro.devtools.dataflow import analyze_module as analyze_dataflow
+from repro.devtools.effects import EffectsProject
+from repro.devtools.effects import analyze_module as analyze_effects
+from repro.devtools.rules import RULES, Finding, check_file
 
-ENGINES = ("ast", "dataflow", "effects", "perf")
-
-BASELINE_VERSION = 2
-JSON_VERSION = 1
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
-DEFAULT_BASELINE = "reprolint-baseline.json"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*"
@@ -77,6 +54,10 @@ _SUPPRESS_RE = re.compile(
     r"(?P<tail>.*)$"
 )
 _JUSTIFY_RE = re.compile(r"^\s*--\s*\S")
+
+
+class UsageError(Exception):
+    """The lint targets cannot be linted at all (exit status 2)."""
 
 
 @dataclass
@@ -139,16 +120,9 @@ def _parse_suppressions(source: str, path: str) -> Tuple[List[Suppression],
 
 def _apply_suppressions(
     findings: List[Finding], suppressions: List[Suppression], path: str,
-    checked_rules: Optional["set[str]"] = None,
 ) -> Tuple[List[Finding], List[Finding], List[Finding]]:
-    """Split raw findings into (active, suppressed) and report unused or
-    unjustified suppressions as RPL000 meta-findings.
-
-    ``checked_rules`` is the set of rules the current engine actually
-    evaluates; a suppression naming only rules outside it (e.g. an
-    RPL101 suppression under ``--engine=ast``) is left alone rather
-    than reported as unused.
-    """
+    """Split raw findings into (active, suppressed) and report unused
+    suppressions as RPL000 meta-findings."""
     by_line: Dict[int, List[Suppression]] = {}
     file_level: List[Suppression] = []
     for suppression in suppressions:
@@ -178,109 +152,15 @@ def _apply_suppressions(
                 hit.used = True  # unjustified: finding stays, no "unused" noise
             active.append(finding)
 
-    meta: List[Finding] = []
-    for suppression in suppressions:
-        if checked_rules is not None and not any(
-            code in checked_rules for code in suppression.codes
-        ):
-            continue
-        if not suppression.used:
-            meta.append(
-                Finding(
-                    "RPL000", path, suppression.line, 0,
-                    f"unused suppression for {', '.join(suppression.codes)} — "
-                    "no such finding on this line; delete it",
-                )
-            )
-    return active, suppressed, meta
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-def fingerprint(finding: Finding, line_text: str, occurrence: int) -> str:
-    """Content fingerprint; the engine is part of the hash so a finding
-    baselined under one engine never masks another engine's finding at
-    the same location."""
-    raw = "|".join(
-        (finding.engine, finding.rule, finding.path, line_text.strip(),
-         str(occurrence))
-    )
-    return hashlib.sha1(raw.encode()).hexdigest()
-
-
-def _fingerprints(findings: Sequence[Finding],
-                  sources: Dict[str, List[str]]) -> List[str]:
-    """Stable content fingerprint per finding; duplicate (engine, rule,
-    text) triples in one file are disambiguated by occurrence index."""
-    seen: Dict[Tuple[str, str, str, str], int] = {}
-    out = []
-    for finding in findings:
-        lines = sources.get(finding.path, [])
-        text = lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
-        key = (finding.engine, finding.rule, finding.path, text.strip())
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        out.append(fingerprint(finding, text, occurrence))
-    return out
-
-
-def load_baseline(path: Path) -> "set[str]":
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return set()
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"reprolint: unreadable baseline {path}: {exc}") from exc
-    if payload.get("version") != BASELINE_VERSION:
-        hint = ""
-        if payload.get("version") == 1:
-            hint = (
-                " (version 1 predates engine-aware fingerprints; "
-                "regenerate it with --write-baseline)"
-            )
-        raise SystemExit(
-            f"reprolint: baseline {path} has unsupported version "
-            f"{payload.get('version')!r}{hint}"
+    unused = [
+        Finding(
+            "RPL000", path, suppression.line, 0,
+            f"unused suppression for {', '.join(suppression.codes)} — "
+            "no such finding on this line; delete it",
         )
-    return {entry["fingerprint"] for entry in payload.get("findings", [])}
-
-
-def load_baseline_entries(path: Path) -> List[Dict[str, object]]:
-    """Full baseline entries (fingerprint + provenance), for pruning."""
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return []
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"reprolint: unreadable baseline {path}: {exc}") from exc
-    if payload.get("version") != BASELINE_VERSION:
-        raise SystemExit(
-            f"reprolint: baseline {path} has unsupported version "
-            f"{payload.get('version')!r}"
-        )
-    return list(payload.get("findings", []))
-
-
-def write_baseline(path: Path, findings: Sequence[Finding],
-                   prints: Sequence[str]) -> None:
-    payload = {
-        "version": BASELINE_VERSION,
-        "findings": [
-            {
-                "fingerprint": print_,
-                "engine": finding.engine,
-                "rule": finding.rule,
-                "path": finding.path,
-                "line": finding.line,
-                "message": finding.message,
-            }
-            for finding, print_ in sorted(
-                zip(findings, prints), key=lambda pair: pair[0].render()
-            )
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        for suppression in suppressions if not suppression.used
+    ]
+    return active, suppressed, unused
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +168,12 @@ def write_baseline(path: Path, findings: Sequence[Finding],
 # ---------------------------------------------------------------------------
 @dataclass
 class LintResult:
-    new: List[Finding]
-    baselined: List[Finding]
+    findings: List[Finding]
     suppressed: List[Finding]
-    new_fingerprints: List[str]
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.new else 0
+        return 1 if self.findings else 0
 
 
 def collect_files(paths: Sequence[str]) -> List[Path]:
@@ -307,178 +185,59 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
                 p for p in sorted(path.rglob("*.py"))
                 if "__pycache__" not in p.parts
             )
+        elif not path.exists():
+            raise UsageError(f"no such file or directory: {path}")
         elif path.suffix == ".py":
             files.append(path)
         else:
-            raise SystemExit(f"reprolint: not a python file or directory: {path}")
+            raise UsageError(f"not a python file or directory: {path}")
     return files
 
 
-def checked_rules_for(engine: str) -> "Set[str]":
-    """Rules the engine actually evaluates (engines are cumulative:
-    ast ⊂ dataflow ⊂ effects).  Suppressions naming only rules outside
-    the set are left alone rather than reported unused."""
-    checked = {
-        rule for rule in RULES
-        if not rule.startswith(("RPL1", "RPL2", "RPL3"))
-    }
-    if engine in ("dataflow", "effects", "perf"):
-        checked |= {rule for rule in RULES if rule.startswith("RPL1")}
-    if engine in ("effects", "perf"):
-        checked |= {rule for rule in RULES if rule.startswith("RPL2")}
-    if engine == "perf":
-        checked |= {rule for rule in RULES if rule.startswith("RPL3")}
-    return checked
+def run_lint(paths: Sequence[str]) -> LintResult:
+    """Lint ``paths`` with every rule in the catalog.
 
-
-def run_lint(paths: Sequence[str],
-             baseline: Optional[Path] = None,
-             engine: str = "ast",
-             restrict_to: Optional["Set[str]"] = None) -> LintResult:
-    """Lint ``paths`` and classify findings against ``baseline``.
-
-    ``engine="ast"`` runs the syntactic RPL000–005 rules; ``"dataflow"``
-    additionally runs the abstract-interpretation pass
-    (:mod:`repro.devtools.dataflow`): RPL101–104 plus interprocedural
-    RPL001/002 call-site findings; ``"effects"`` additionally runs the
-    concurrency & resource-safety pass
-    (:mod:`repro.devtools.effects`): RPL201–213; ``"perf"``
-    additionally runs the scale-hazard pass
-    (:mod:`repro.devtools.perf_rules`): RPL301–305 over the hot
-    packages.  Suppression and baseline handling are identical for all
-    engines.
-
-    ``restrict_to`` (resolved posix paths) limits *reported* findings
-    to those files — interprocedural summaries are still built from
-    every linted file, so cross-file effects stay visible.
+    Interprocedural summaries (nondeterminism, parameter mutation,
+    blocking) are built from every linted file before any file is
+    checked, so cross-file effects stay visible.
     """
-    if engine not in ENGINES:
-        raise SystemExit(f"reprolint: unknown engine {engine!r}")
     files = collect_files(paths)
     trees: Dict[Path, ast.Module] = {}
-    sources: Dict[str, List[str]] = {}
-    raw_sources: Dict[Path, str] = {}
+    sources: Dict[Path, str] = {}
     for path in files:
-        text = path.read_text(encoding="utf-8")
         try:
+            text = path.read_text(encoding="utf-8")
             trees[path] = ast.parse(text, filename=str(path))
-        except SyntaxError as exc:
-            raise SystemExit(f"reprolint: cannot parse {path}: {exc}") from exc
-        raw_sources[path] = text
-        sources[path.as_posix()] = text.splitlines()
+        except (SyntaxError, ValueError) as exc:  # UnicodeDecodeError too
+            raise UsageError(f"cannot parse {path}: {exc}") from exc
+        sources[path] = text
 
-    project = Project(trees)
-    dataflow_project = None
-    effects_project = None
-    if engine in ("dataflow", "effects", "perf"):
-        from repro.devtools.dataflow import DataflowProject
-
-        dataflow_project = DataflowProject(trees)
-    if engine in ("effects", "perf"):
-        from repro.devtools.effects import EffectsProject
-
-        effects_project = EffectsProject(trees)
-    checked = checked_rules_for(engine)
-    all_findings: List[Finding] = []
-    suppressed_all: List[Finding] = []
+    dataflow_project = DataflowProject(trees)
+    effects_project = EffectsProject(trees)
+    findings: List[Finding] = []
+    suppressed: List[Finding] = []
     for path in files:
-        if restrict_to is not None \
-                and path.resolve().as_posix() not in restrict_to:
-            continue
-        rel = path.as_posix()
-        raw_findings = check_file(path, trees[path], project)
-        if dataflow_project is not None:
-            from repro.devtools.dataflow import analyze_module
-
-            raw_findings = raw_findings + analyze_module(
-                path, trees[path], dataflow_project
-            )
-        if effects_project is not None:
-            from repro.devtools.effects import (
-                analyze_module as analyze_effects,
-            )
-
-            raw_findings = raw_findings + analyze_effects(
-                path, trees[path], effects_project
-            )
-        if engine == "perf":
-            from repro.devtools.perf_rules import (
-                analyze_module as analyze_perf,
-            )
-
-            raw_findings = raw_findings + analyze_perf(
-                path, trees[path], dataflow_project
-            )
+        tree = trees[path]
         raw_findings = sorted(
-            raw_findings,
+            check_file(path, tree)
+            + analyze_dataflow(path, tree, dataflow_project)
+            + analyze_effects(path, tree, effects_project),
             key=lambda f: (f.line, f.col, f.rule, f.message),
         )
-        suppressions, meta = _parse_suppressions(raw_sources[path], rel)
-        active, suppressed, unused = _apply_suppressions(
-            raw_findings, suppressions, rel, checked_rules=checked
+        rel = path.as_posix()
+        suppressions, meta = _parse_suppressions(sources[path], rel)
+        active, quiet, unused = _apply_suppressions(
+            raw_findings, suppressions, rel
         )
-        all_findings.extend(active)
-        all_findings.extend(meta)
-        all_findings.extend(unused)
-        suppressed_all.extend(suppressed)
-
-    prints = _fingerprints(all_findings, sources)
-    known = load_baseline(baseline) if baseline else set()
-    new: List[Finding] = []
-    new_prints: List[str] = []
-    baselined: List[Finding] = []
-    for finding, print_ in zip(all_findings, prints):
-        if print_ in known:
-            baselined.append(finding)
-        else:
-            new.append(finding)
-            new_prints.append(print_)
-    return LintResult(
-        new=new,
-        baselined=baselined,
-        suppressed=suppressed_all,
-        new_fingerprints=new_prints,
-    )
-
-
-def _report_json(result: LintResult) -> str:
-    return json.dumps(
-        {
-            "version": JSON_VERSION,
-            "findings": [
-                {
-                    "engine": finding.engine,
-                    "rule": finding.rule,
-                    "path": finding.path,
-                    "line": finding.line,
-                    "col": finding.col,
-                    "message": finding.message,
-                    "fingerprint": print_,
-                }
-                for finding, print_ in zip(result.new, result.new_fingerprints)
-            ],
-            "summary": {
-                "new": len(result.new),
-                "baselined": len(result.baselined),
-                "suppressed": len(result.suppressed),
-            },
-        },
-        indent=2,
-    )
-
-
-def _report_sarif(result: LintResult) -> str:
-    from repro.devtools.sarif import render_sarif
-
-    fingerprints = dict(zip(result.new, result.new_fingerprints))
-    return render_sarif(result.new, fingerprints).rstrip("\n")
+        findings.extend(active + meta + unused)
+        suppressed.extend(quiet)
+    return LintResult(findings=findings, suppressed=suppressed)
 
 
 def _report_text(result: LintResult) -> str:
-    lines = [finding.render() for finding in result.new]
+    lines = [finding.render() for finding in result.findings]
     lines.append(
-        f"reprolint: {len(result.new)} finding(s), "
-        f"{len(result.baselined)} baselined, "
+        f"reprolint: {len(result.findings)} finding(s), "
         f"{len(result.suppressed)} suppressed"
     )
     return "\n".join(lines)
@@ -487,57 +246,16 @@ def _report_text(result: LintResult) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
-        description="AST-based invariant checker for the repro codebase "
-                    "(determinism, immutability, cache purity, schema "
-                    "integrity, API hygiene)",
+        description="Invariant checker for the repro codebase "
+                    "(determinism, immutability, time units, shard order, "
+                    "event-loop safety)",
     )
     parser.add_argument(
         "paths", nargs="*", default=list(DEFAULT_PATHS),
         help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline keeping only fingerprints that "
-             "still match a current finding (prunes entries for "
-             "deleted files and fixed findings, reports the counts, "
-             "never adds new debt) and exit 0",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply machine-attached fixes (looping lint→fix until "
-             "stable), then report what remains; a second --fix run "
-             "is a no-op",
-    )
-    parser.add_argument(
-        "--engine", choices=ENGINES, default="ast",
-        help="'ast' runs the syntactic rules; 'dataflow' adds the "
-             "abstract-interpretation analyses (RPL101-104 and "
-             "interprocedural RPL001/002); 'effects' additionally adds "
-             "the concurrency & resource-safety analyses (RPL201-213); "
-             "'perf' additionally adds the scale-hazard analyses "
-             "(RPL301-305 over the hot packages)",
-    )
-    parser.add_argument(
-        "--changed-since", default=None, metavar="REF",
-        help="only report findings in files that differ from git REF "
-             "(tracked changes plus untracked files); analysis still "
-             "covers every linted file so interprocedural summaries "
-             "stay whole-tree",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "sarif"), default="text",
         dest="fmt", help="report format",
     )
     parser.add_argument(
@@ -550,49 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def changed_files(ref: str) -> "Set[str]":
-    """Resolved posix paths of files changed vs ``ref`` — tracked
-    modifications plus untracked (not-ignored) files, so a new module
-    is linted on the PR that introduces it.
-
-    Degrades gracefully (message + usage exit status 2) when the ref
-    does not resolve — not a git repo, a repo with no commits yet, or
-    a typo'd ref — instead of surfacing a raw git traceback.
-    """
-    import subprocess
-
-    def _git(*argv: str) -> str:
-        try:
-            proc = subprocess.run(
-                ["git", *argv], capture_output=True, text=True,
-            )
-        except OSError as exc:  # git binary missing
-            print(f"reprolint: --changed-since {ref!r}: cannot run "
-                  f"git: {exc}", file=sys.stderr)
-            raise SystemExit(2) from exc
-        if proc.returncode != 0:
-            detail = proc.stderr.strip().splitlines()
-            reason = detail[0] if detail else f"git exited {proc.returncode}"
-            print(
-                f"reprolint: --changed-since {ref!r}: {reason}\n"
-                "reprolint: the ref must resolve in a git repository "
-                "with at least one commit; try 'git log --oneline -1' "
-                "to check",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        return proc.stdout
-
-    top = Path(_git("rev-parse", "--show-toplevel").strip())
-    names = set(_git("diff", "--name-only", "-z", ref, "--").split("\0"))
-    names |= set(
-        _git("ls-files", "--others", "--exclude-standard", "-z").split("\0")
-    )
-    return {
-        (top / name).resolve().as_posix() for name in names if name
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -600,80 +275,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule}  {description}")
         return 0
 
-    baseline: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline is not None:
-            baseline = Path(args.baseline)
-        elif Path(DEFAULT_BASELINE).exists() or args.write_baseline:
-            baseline = Path(DEFAULT_BASELINE)
+    try:
+        result = run_lint(args.paths)
+    except UsageError as exc:
+        print(f"reprolint: {exc}", file=sys.stderr)
+        return 2
+    if args.fmt == "sarif":
+        from repro.devtools.sarif import render_sarif
 
-    restrict: Optional["Set[str]"] = None
-    if args.changed_since is not None:
-        restrict = changed_files(args.changed_since)
-
-    if args.write_baseline:
-        result = run_lint(args.paths, baseline=None, engine=args.engine,
-                          restrict_to=restrict)
-        target = baseline or Path(DEFAULT_BASELINE)
-        write_baseline(target, result.new, result.new_fingerprints)
-        print(
-            f"reprolint: wrote {len(result.new)} finding(s) to {target}"
-        )
-        return 0
-
-    if args.update_baseline:
-        target = baseline or Path(DEFAULT_BASELINE)
-        entries = load_baseline_entries(target)
-        result = run_lint(args.paths, baseline=None, engine=args.engine,
-                          restrict_to=restrict)
-        old_prints = {entry["fingerprint"] for entry in entries}
-        kept = [
-            (finding, print_)
-            for finding, print_ in zip(result.new, result.new_fingerprints)
-            if print_ in old_prints
-        ]
-        kept_prints = {print_ for _, print_ in kept}
-        gone_files = sum(
-            1 for entry in entries
-            if entry["fingerprint"] not in kept_prints
-            and not Path(str(entry.get("path", ""))).exists()
-        )
-        stale = len(entries) - len(kept) - gone_files
-        write_baseline(target, [f for f, _ in kept],
-                       [p for _, p in kept])
-        print(
-            f"reprolint: baseline {target} updated — kept {len(kept)} "
-            f"entr{'y' if len(kept) == 1 else 'ies'}, pruned "
-            f"{gone_files} for missing files, {stale} no longer "
-            "matching any finding"
-        )
-        return 0
-
-    if args.fix:
-        from repro.devtools.fixer import fix_paths
-
-        fixed = fix_paths(args.paths, baseline=baseline,
-                          engine=args.engine, restrict_to=restrict)
-        note = (
-            f"reprolint: applied {fixed.applied} fix(es) in "
-            f"{len(fixed.files)} file(s) over {fixed.passes} pass(es)"
-        )
-        if fixed.cycle:
-            note += " — WARNING: fixable findings remain (fix cycle?)"
-        print(note)
-
-    result = run_lint(args.paths, baseline=baseline, engine=args.engine,
-                      restrict_to=restrict)
-    if args.fmt == "json":
-        report = _report_json(result)
-    elif args.fmt == "sarif":
-        report = _report_sarif(result)
+        report = render_sarif(result.findings).rstrip("\n")
     else:
         report = _report_text(result)
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         print(f"reprolint: wrote {args.fmt} report to {args.output} "
-              f"({len(result.new)} new finding(s))")
+              f"({len(result.findings)} finding(s))")
     else:
         print(report)
     return result.exit_code
@@ -685,12 +301,8 @@ if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
 
 __all__ = [
     "LintResult",
-    "changed_files",
-    "checked_rules_for",
-    "run_lint",
-    "load_baseline",
-    "load_baseline_entries",
-    "write_baseline",
+    "UsageError",
     "collect_files",
+    "run_lint",
     "main",
 ]

@@ -1,9 +1,9 @@
-"""Rule implementations for *reprolint* (RPL001–RPL005).
+"""Syntactic rule implementations for *reprolint* (RPL001, RPL002).
 
 Each rule encodes one repo-specific invariant that generic linters
 cannot express because it depends on knowledge of this codebase — the
-canonical FOT schema, the :class:`~repro.core.dataset.FOTDataset` column
-surface, and the analysis-cache registries:
+deterministic packages and the :class:`~repro.core.dataset.FOTDataset`
+column surface:
 
 * **RPL001 determinism** — no unseeded randomness or wall-clock reads in
   the data-producing packages.  Seeded ``numpy.random.default_rng`` /
@@ -15,21 +15,11 @@ surface, and the analysis-cache registries:
   Inside ``repro/core`` every locally created array that escapes the
   function (returned or stored on an object) must be frozen with
   ``setflags(write=False)``.
-* **RPL003 cache purity** — functions registered with the
-  :class:`~repro.engine.cache.AnalysisCache` (the ``repro.api.ANALYSES``
-  registry and the ``full_report`` section builders) must be pure:
-  no file I/O, no module-global mutation, no argument mutation.
-* **RPL004 schema integrity** — FOT field names referenced as string
-  literals (loader record keys, corruptor field lists) must exist in
-  the canonical :class:`~repro.core.ticket.FOT` schema.
-* **RPL005 API hygiene** — every ``__all__`` entry must resolve to a
-  real binding (including PEP 562 lazy-export tables), and the facade
-  re-exports in ``repro/__init__.py`` / ``repro.api`` must agree with
-  the source modules' ``__all__``.
 
-The checks are deliberately heuristic (single-pass, order-sensitive,
-no CFG); the runtime sanitizer in :mod:`repro.devtools.sanitize` is the
-ground-truth complement that validates the same invariants dynamically.
+The checks here are single-pass and order-sensitive; the dataflow pass
+(:mod:`repro.devtools.dataflow`) adds their interprocedural forms, and
+the runtime sanitizer in :mod:`repro.devtools.sanitize` validates the
+immutability invariant dynamically.
 """
 
 from __future__ import annotations
@@ -45,86 +35,25 @@ RULES: Dict[str, str] = {
     "RPL000": "meta: malformed or unused reprolint suppression",
     "RPL001": "determinism: no unseeded randomness or wall-clock reads in data code",
     "RPL002": "immutability: never mutate arrays derived from ColumnStore/FOTDataset",
-    "RPL003": "cache purity: cached analysis functions must be side-effect free",
-    "RPL004": "schema integrity: FOT field literals must exist in the canonical schema",
-    "RPL005": "API hygiene: __all__ must match real bindings and facade re-exports",
-    # Semantic rules implemented by the dataflow engine
-    # (repro.devtools.dataflow, --engine=dataflow).
+    # Value-flow rules (repro.devtools.dataflow).
     "RPL101": "time units: no cross-unit arithmetic/comparison; convert via core.timeutil",
     "RPL102": "time units: no magic second-count literals folded into arithmetic",
-    "RPL103": "dtype width: no narrowing casts/accumulation over time-unit values",
     "RPL104": "shard determinism: sort set/dict/fs-listing iteration before ordered folds",
-    # Concurrency & resource-safety rules implemented by the effects
-    # engine (repro.devtools.effects, --engine=effects).
+    # Event-loop rules (repro.devtools.effects).
     "RPL201": "async blocking: no synchronous blocking calls on the event loop",
     "RPL202": "async sharing: no shared mutable state read-then-written across an await",
-    "RPL203": "async tasks: create_task results must be retained or given a done-callback",
-    "RPL211": "pool captures: process-pool work must not capture mutable/unpicklable/unseeded-RNG state",
-    "RPL212": "resource lifetime: files/mmaps need a context manager, close, or finalizer; buffers must not outlive their backing store",
-    "RPL213": "atomic writes: durable files are written via write-then-rename, never in place",
-    # Scale-hazard rules implemented by the perf engine
-    # (repro.devtools.perf_rules, --engine=perf).
-    "RPL301": "perf: no Python-level iteration over dataset rows/columns where a vectorized op exists",
-    "RPL302": "perf: no array growth inside loops (np.append/concatenate accumulation, append-then-np.array)",
-    "RPL303": "perf: no redundant materialization (np.asarray of an array, .tolist() on hot paths)",
-    "RPL304": "perf: no quadratic patterns (list membership in loops, nested dataset-scale loops, per-iteration sorts)",
-    "RPL305": "perf: no loop-invariant recomputation of expensive calls (fingerprints, group-bys, ppf/gamma math)",
 }
 
 
 @dataclasses.dataclass(frozen=True)
-class Edit:
-    """One span replacement in a source file.
-
-    Spans use 1-based lines and 0-based columns (AST coordinates); the
-    replacement text substitutes the half-open region
-    ``[(start_line, start_col), (end_line, end_col))``.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    @property
-    def start(self) -> Tuple[int, int]:
-        return (self.start_line, self.start_col)
-
-    @property
-    def end(self) -> Tuple[int, int]:
-        return (self.end_line, self.end_col)
-
-
-@dataclasses.dataclass(frozen=True)
-class Fix:
-    """A machine-applicable fix: a description plus one or more edits
-    in the finding's own file.  Applied by ``fouryears lint --fix``
-    (:mod:`repro.devtools.fixer`) and surfaced as SARIF ``fixes``."""
-
-    description: str
-    edits: Tuple[Edit, ...]
-
-
-@dataclasses.dataclass(frozen=True)
 class Finding:
-    """One linter finding, anchored to a file position.
-
-    ``engine`` names the analysis family that produced the finding
-    (``"ast"``, ``"dataflow"``, ``"effects"`` or ``"perf"``); it
-    participates in the baseline fingerprint so a finding accepted
-    under one engine can never mask a different engine's finding at the
-    same location.  ``fix`` optionally carries a machine-applicable
-    rewrite (it does not participate in fingerprints).
-    """
+    """One linter finding, anchored to a file position."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    engine: str = "ast"
-    fix: Optional[Fix] = None
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -133,12 +62,6 @@ class Finding:
 # ---------------------------------------------------------------------------
 # canonical knowledge imported from the library itself (no drift possible)
 # ---------------------------------------------------------------------------
-def _schema_fields() -> "frozenset[str]":
-    from repro.core.ticket import FOT
-
-    return frozenset(f.name for f in dataclasses.fields(FOT))
-
-
 def _column_properties() -> "frozenset[str]":
     """Names of ``FOTDataset`` properties that expose store columns —
     the taint sources for RPL002."""
@@ -156,7 +79,6 @@ def _column_properties() -> "frozenset[str]":
     return frozenset(names)
 
 
-SCHEMA_FIELDS = _schema_fields()
 COLUMN_PROPERTIES = _column_properties()
 
 #: Packages under ``repro`` whose code must be deterministic (RPL001).
@@ -204,42 +126,6 @@ NP_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Variable names treated as raw FOT record dicts in the record modules
-#: (RPL004).  Scoped to a name list so unrelated dicts (manifests,
-#: counters) never false-positive.
-RECORD_NAMES = frozenset(
-    {"record", "records", "row", "rows", "rec", "raw", "dup", "dropped", "bad",
-     "mislabeled", "repaired"}
-)
-
-#: Modules whose record-dict subscripts/get() keys are schema-checked.
-RECORD_MODULES = frozenset({"repro.core.io", "repro.robustness.chaos"})
-
-#: Keys legal on a record dict beyond the FOT schema.
-RECORD_EXTRA_KEYS = frozenset({"detail"})
-
-#: Methods that mutate their receiver (RPL003 argument/global mutation).
-IMPURE_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "clear", "pop", "popitem",
-        "update", "setdefault", "sort", "reverse", "add", "discard",
-        "fill", "resize", "put", "itemset", "setflags",
-    }
-)
-
-#: File-touching callables banned inside cached analyses (RPL003).
-IO_PATH_METHODS = frozenset(
-    {
-        "write_text", "write_bytes", "read_text", "read_bytes", "unlink",
-        "mkdir", "rmdir", "touch", "rename", "replace", "symlink_to",
-    }
-)
-IO_OS_FUNCTIONS = frozenset(
-    {"remove", "unlink", "rename", "replace", "makedirs", "mkdir", "rmdir",
-     "system", "popen"}
-)
-
-
 # ---------------------------------------------------------------------------
 # path / module helpers
 # ---------------------------------------------------------------------------
@@ -261,178 +147,6 @@ def module_name(path: Path) -> str:
     elif parts[-1].endswith(".py"):
         parts[-1] = parts[-1][:-3]
     return ".".join(parts)
-
-
-def _is_str(node: ast.AST) -> bool:
-    return isinstance(node, ast.Constant) and isinstance(node.value, str)
-
-
-def _str_elements(node: ast.AST) -> Optional[List[Tuple[str, int, int]]]:
-    """String elements of a list/tuple/set literal (or a ``frozenset``/
-    ``set``/``tuple`` call wrapping one); None when not such a literal."""
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id in {"frozenset", "set", "tuple", "list"} \
-            and len(node.args) == 1:
-        node = node.args[0]
-    if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-        out = []
-        for element in node.elts:
-            if not _is_str(element):
-                return None
-            assert isinstance(element, ast.Constant)
-            out.append((element.value, element.lineno, element.col_offset))
-        return out
-    return None
-
-
-# ---------------------------------------------------------------------------
-# project-wide context (cross-file registries for RPL003 / RPL005)
-# ---------------------------------------------------------------------------
-class Project:
-    """Parsed view of every file in one lint run."""
-
-    def __init__(self, files: Dict[Path, ast.Module]):
-        self.files = files
-        self.by_module: Dict[str, ast.Module] = {
-            module_name(path): tree for path, tree in files.items()
-        }
-        #: module name -> function names that must be cache-pure.
-        self.registered_pure: Dict[str, Set[str]] = {}
-        self._collect_registries()
-
-    # -- registry collection -------------------------------------------
-    def _collect_registries(self) -> None:
-        api = self.by_module.get("repro.api")
-        if api is not None:
-            self._collect_analyses_registry(api)
-        full_report = self.by_module.get("repro.analysis.full_report")
-        if full_report is not None:
-            self._collect_function_references(
-                "repro.analysis.full_report", full_report
-            )
-
-    def _register(self, module: str, func: str) -> None:
-        self.registered_pure.setdefault(module, set()).add(func)
-
-    def _collect_analyses_registry(self, tree: ast.Module) -> None:
-        """Functions referenced in ``repro.api.ANALYSES`` are cached via
-        ``AnalysisCache.call`` and must be pure."""
-        alias_to_module: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    alias_to_module[bound] = f"{node.module}.{alias.name}"
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    alias_to_module.setdefault(bound, alias.name)
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (isinstance(target, ast.Name) and target.id == "ANALYSES"):
-                continue
-            if not isinstance(node.value, ast.Dict):
-                continue
-            for value in node.value.values:
-                ref = value.elts[0] if (
-                    isinstance(value, ast.Tuple) and value.elts
-                ) else value
-                if isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name):
-                    target_module = alias_to_module.get(ref.value.id)
-                    if target_module:
-                        self._register(target_module, ref.attr)
-                elif isinstance(ref, ast.Name):
-                    self._register("repro.api", ref.id)
-
-    def _collect_function_references(self, module: str, tree: ast.Module) -> None:
-        """Module-level functions referenced *as values* (not called) are
-        handed to the cache by ``full_report`` and must be pure."""
-        local_functions = {
-            node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-        }
-        called = {
-            id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
-        }
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in local_functions
-                and id(node) not in called
-            ):
-                self._register(module, node.id)
-
-    # -- lookups --------------------------------------------------------
-    def module_all(self, module: str) -> Optional[List[str]]:
-        """The ``__all__`` literal of a module, or None."""
-        tree = self.by_module.get(module)
-        if tree is None:
-            return None
-        names = _module_all_names(tree)
-        return names[0] if names else None
-
-
-def _module_all_names(tree: ast.Module) -> Optional[Tuple[List[str], int]]:
-    """``(__all__ entries, line)`` from top-level assignments (including
-    ``__all__ += [...]`` extensions)."""
-    collected: List[str] = []
-    line = 0
-    seen = False
-    for node in tree.body:
-        value = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and node.targets[0].id == "__all__":
-            value = node.value
-        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name) \
-                and node.target.id == "__all__":
-            value = node.value
-        if value is None:
-            continue
-        elements = _str_elements(value)
-        if elements is None:
-            return None  # dynamic __all__ — out of scope
-        seen = True
-        line = line or node.lineno
-        collected.extend(name for name, _, _ in elements)
-    return (collected, line) if seen else None
-
-
-def _module_bound_names(tree: ast.Module) -> Set[str]:
-    """Names statically bound at module top level, including keys of
-    lazy-export dict literals when the module defines ``__getattr__``
-    (PEP 562)."""
-    bound: Set[str] = set()
-    has_getattr = False
-    lazy_keys: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-            if node.name == "__getattr__":
-                has_getattr = True
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                bound.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                for name_node in ast.walk(target):
-                    if isinstance(name_node, ast.Name):
-                        bound.add(name_node.id)
-            if isinstance(node.value, ast.Dict):
-                for key in node.value.keys:
-                    if _is_str(key):
-                        assert isinstance(key, ast.Constant)
-                        lazy_keys.add(key.value)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            bound.add(node.target.id)
-    if has_getattr:
-        bound |= lazy_keys
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -820,297 +534,19 @@ def check_immutability(path: str, parts: Tuple[str, ...],
 
 
 # ---------------------------------------------------------------------------
-# RPL003 — cache purity
-# ---------------------------------------------------------------------------
-def _purity_findings(path: str, fn: ast.FunctionDef,
-                     module_globals: Set[str]) -> List[Finding]:
-    findings: List[Finding] = []
-    params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
-    if fn.args.vararg:
-        params.add(fn.args.vararg.arg)
-    if fn.args.kwarg:
-        params.add(fn.args.kwarg.arg)
-
-    def flag(node: ast.AST, message: str) -> None:
-        findings.append(
-            Finding("RPL003", path, getattr(node, "lineno", fn.lineno),
-                    getattr(node, "col_offset", 0),
-                    f"cached analysis '{fn.name}' {message}")
-        )
-
-    def root_name(node: ast.AST) -> Optional[str]:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return node.id if isinstance(node, ast.Name) else None
-
-    local_binds: Set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            flag(node, f"declares {type(node).__name__.lower()} "
-                       f"{', '.join(node.names)} — cached analyses may not "
-                       "rebind outer state")
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                if func.id == "open":
-                    flag(node, "opens a file — cached analyses must not do I/O")
-                elif func.id == "print":
-                    flag(node, "prints — cached analyses must return data, "
-                               "not write streams")
-            elif isinstance(func, ast.Attribute):
-                base = func.value
-                if func.attr in IO_PATH_METHODS:
-                    flag(node, f"calls .{func.attr}() — cached analyses must "
-                               "not touch the filesystem")
-                elif isinstance(base, ast.Name) and base.id == "os" \
-                        and func.attr in IO_OS_FUNCTIONS:
-                    flag(node, f"calls os.{func.attr}() — cached analyses "
-                               "must not touch the filesystem")
-                elif isinstance(base, ast.Name) and base.id in {"shutil"}:
-                    flag(node, f"calls shutil.{func.attr}() — cached analyses "
-                               "must not touch the filesystem")
-                elif isinstance(base, ast.Name) and base.id in {"json", "pickle"} \
-                        and func.attr in {"dump", "load"}:
-                    flag(node, f"calls {base.id}.{func.attr}() on a stream — "
-                               "cached analyses must not do I/O")
-                elif func.attr in IMPURE_METHODS:
-                    root = root_name(func.value)
-                    if root in params and root not in local_binds:
-                        flag(node, f"mutates argument '{root}' via "
-                                   f".{func.attr}() — arguments are caller "
-                                   "state")
-                    elif root in module_globals:
-                        flag(node, f"mutates module global '{root}' via "
-                                   f".{func.attr}() — results must depend on "
-                                   "inputs only")
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Subscript):
-                    root = root_name(target.value)
-                    if root in params and root not in local_binds:
-                        flag(node, f"assigns into argument '{root}' — "
-                                   "arguments are caller state")
-                    elif root in module_globals:
-                        flag(node, f"assigns into module global '{root}' — "
-                                   "results must depend on inputs only")
-                elif isinstance(target, ast.Name):
-                    local_binds.add(target.id)
-        elif isinstance(node, ast.AugAssign) and isinstance(node.target,
-                                                            ast.Subscript):
-            root = root_name(node.target.value)
-            if root in params and root not in local_binds:
-                flag(node, f"augments into argument '{root}' — arguments are "
-                           "caller state")
-            elif root in module_globals:
-                flag(node, f"augments module global '{root}' — results must "
-                           "depend on inputs only")
-    return findings
-
-
-def check_cache_purity(path: str, parts: Tuple[str, ...], tree: ast.Module,
-                       project: Project) -> List[Finding]:
-    registered = project.registered_pure.get(module_name(Path(path)))
-    if not registered:
-        return []
-    module_globals = {
-        target.id
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        for target in node.targets
-        if isinstance(target, ast.Name) and not target.id.startswith("__")
-    }
-    findings: List[Finding] = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in registered:
-            findings.extend(_purity_findings(path, node, module_globals))
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# RPL004 — schema integrity
-# ---------------------------------------------------------------------------
-def _check_field_literal(path: str, value: str, line: int, col: int,
-                         context: str) -> Optional[Finding]:
-    if value in SCHEMA_FIELDS or value in RECORD_EXTRA_KEYS:
-        return None
-    return Finding(
-        "RPL004", path, line, col,
-        f"{context} references field {value!r} which is not in the canonical "
-        f"FOT schema — stringly-typed drift",
-    )
-
-
-def check_schema_integrity(path: str, parts: Tuple[str, ...],
-                           tree: ast.Module) -> List[Finding]:
-    findings: List[Finding] = []
-    module = module_name(Path(path))
-    in_record_module = module in RECORD_MODULES
-
-    # FIELDS-style module constants anywhere under repro/.
-    if parts and parts[0] == "repro":
-        for node in tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not (isinstance(target, ast.Name) and "FIELDS" in target.id.upper()):
-                continue
-            elements = _str_elements(node.value)
-            if elements is None:
-                continue
-            for value, line, col in elements:
-                finding = _check_field_literal(
-                    path, value, line, col, f"constant {target.id}"
-                )
-                if finding:
-                    findings.append(finding)
-
-    if not in_record_module:
-        return findings
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
-                and node.value.id in RECORD_NAMES and _is_str(node.slice):
-            assert isinstance(node.slice, ast.Constant)
-            finding = _check_field_literal(
-                path, node.slice.value, node.lineno, node.col_offset,
-                f"record subscript {node.value.id}[...]",
-            )
-            if finding:
-                findings.append(finding)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "get" \
-                    and isinstance(func.value, ast.Name) \
-                    and func.value.id in RECORD_NAMES \
-                    and node.args and _is_str(node.args[0]):
-                key = node.args[0]
-                assert isinstance(key, ast.Constant)
-                finding = _check_field_literal(
-                    path, key.value, node.lineno, node.col_offset,
-                    f"{func.value.id}.get(...)",
-                )
-                if finding:
-                    findings.append(finding)
-            elif isinstance(func, ast.Name) and func.id == "_require" \
-                    and len(node.args) >= 2 and _is_str(node.args[1]):
-                key = node.args[1]
-                assert isinstance(key, ast.Constant)
-                finding = _check_field_literal(
-                    path, key.value, node.lineno, node.col_offset, "_require(...)"
-                )
-                if finding:
-                    findings.append(finding)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            value = node.value
-            if not isinstance(value, ast.Dict):
-                continue
-            if not any(isinstance(t, ast.Name) and t.id in RECORD_NAMES
-                       for t in targets):
-                continue
-            for key in value.keys:
-                if _is_str(key):
-                    assert isinstance(key, ast.Constant)
-                    finding = _check_field_literal(
-                        path, key.value, key.lineno, key.col_offset,
-                        "record dict literal",
-                    )
-                    if finding:
-                        findings.append(finding)
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# RPL005 — API hygiene
-# ---------------------------------------------------------------------------
-#: Facade modules whose re-export imports must agree with source __all__.
-FACADE_MODULES = frozenset({"repro", "repro.api"})
-
-
-def check_api_hygiene(path: str, parts: Tuple[str, ...], tree: ast.Module,
-                      project: Project) -> List[Finding]:
-    if not parts or parts[0] != "repro":
-        return []
-    findings: List[Finding] = []
-    module = module_name(Path(path))
-
-    all_names = _module_all_names(tree)
-    if all_names is not None:
-        names, line = all_names
-        bound = _module_bound_names(tree)
-        for name in names:
-            if name not in bound:
-                findings.append(
-                    Finding(
-                        "RPL005", path, line, 0,
-                        f"__all__ exports {name!r} but the module never binds "
-                        "it (stale re-export?)",
-                    )
-                )
-
-    if module in FACADE_MODULES:
-        for node in tree.body:
-            if not (isinstance(node, ast.ImportFrom) and node.module
-                    and node.module.startswith("repro")):
-                continue
-            if node.module == module:
-                continue
-            exported = project.module_all(node.module)
-            if exported is None:
-                continue
-            source_tree = project.by_module.get(node.module)
-            source_bound = (
-                _module_bound_names(source_tree) if source_tree else set()
-            )
-            for alias in node.names:
-                # Submodule imports (``from repro.analysis import overview``)
-                # re-export modules, not names; skip when it resolves to one.
-                if f"{node.module}.{alias.name}" in project.by_module:
-                    continue
-                if alias.name not in exported and alias.name in source_bound:
-                    findings.append(
-                        Finding(
-                            "RPL005", path, node.lineno, node.col_offset,
-                            f"facade re-exports {alias.name!r} from "
-                            f"{node.module} but it is missing from that "
-                            "module's __all__",
-                        )
-                    )
-                elif alias.name not in exported and alias.name not in source_bound:
-                    findings.append(
-                        Finding(
-                            "RPL005", path, node.lineno, node.col_offset,
-                            f"facade imports {alias.name!r} but {node.module} "
-                            "neither binds nor exports it",
-                        )
-                    )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # entry point used by repro.devtools.lint
 # ---------------------------------------------------------------------------
-def check_file(path: Path, tree: ast.Module, project: Project) -> List[Finding]:
-    """Run every rule that applies to ``path``."""
+def check_file(path: Path, tree: ast.Module) -> List[Finding]:
+    """Run every syntactic rule that applies to ``path``."""
     parts = module_parts(path)
     rel = path.as_posix()
-    findings: List[Finding] = []
-    findings.extend(check_determinism(rel, parts, tree))
-    findings.extend(check_immutability(rel, parts, tree))
-    findings.extend(check_cache_purity(rel, parts, tree, project))
-    findings.extend(check_schema_integrity(rel, parts, tree))
-    findings.extend(check_api_hygiene(rel, parts, tree, project))
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    return findings
+    return (check_determinism(rel, parts, tree)
+            + check_immutability(rel, parts, tree))
 
 
 __all__ = [
     "RULES",
-    "Edit",
     "Finding",
-    "Fix",
-    "Project",
-    "SCHEMA_FIELDS",
     "COLUMN_PROPERTIES",
     "DETERMINISTIC_PACKAGES",
     "check_file",

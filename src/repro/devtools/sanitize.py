@@ -1,8 +1,10 @@
-"""Runtime sanitizer — ground truth for the static RPL rules.
+"""Runtime sanitizer — store immutability and cache-key integrity,
+checked dynamically.
 
-``reprolint`` (RPL002/RPL003) *statically* claims that store columns
-are immutable and cached analyses are pure.  This module checks the
-same invariants *dynamically*:
+``reprolint``'s RPL002 claims *statically* that store columns are
+immutable.  This module checks that claim at runtime, together with
+the purity invariant the analysis cache relies on (an analysis must
+never change the data it is keyed on):
 
 * every :class:`~repro.core.columns.ColumnStore` column (all of
   ``COLUMN_NAMES``, forced into existence) must report
@@ -175,7 +177,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--path", default=None,
-        help="ticket dump to load (.jsonl/.csv); default: simulate a trace",
+        help="ticket dump to load (.jsonl/.csv[.gz] or a .fourcol "
+        "directory); default: simulate a trace",
     )
     parser.add_argument("--scale", type=float, default=0.175,
                         help="simulated fleet scale (0.175 ≈ 50k tickets)")

@@ -4,9 +4,8 @@ Emits a single-run SARIF log so CI can upload findings via
 ``github/codeql-action/upload-sarif`` and annotate PRs inline.  Only the
 small, stable subset of the format that GitHub code scanning consumes
 is produced: tool driver metadata with one ``reportingDescriptor`` per
-rule, and one ``result`` per finding with a physical location and a
-content-stable ``partialFingerprints`` entry (the same fingerprint the
-baseline machinery uses, so dedup survives line drift).
+rule, and one ``result`` per finding with a physical location.  The
+upload action computes its own fingerprints for dedup across runs.
 """
 
 from __future__ import annotations
@@ -35,40 +34,8 @@ def _rule_descriptor(rule_id: str, description: str) -> Dict:
     }
 
 
-def _fix(finding: Finding) -> Dict:
-    """SARIF ``fix`` object for a finding's machine-attached rewrite.
-
-    Regions are 1-based in SARIF; :class:`~repro.devtools.rules.Edit`
-    columns are 0-based character offsets.
-    """
-    fix = finding.fix
+def _result(finding: Finding) -> Dict:
     return {
-        "description": {"text": fix.description},
-        "artifactChanges": [
-            {
-                "artifactLocation": {
-                    "uri": finding.path,
-                    "uriBaseId": "SRCROOT",
-                },
-                "replacements": [
-                    {
-                        "deletedRegion": {
-                            "startLine": edit.start_line,
-                            "startColumn": edit.start_col + 1,
-                            "endLine": edit.end_line,
-                            "endColumn": edit.end_col + 1,
-                        },
-                        "insertedContent": {"text": edit.replacement},
-                    }
-                    for edit in fix.edits
-                ],
-            }
-        ],
-    }
-
-
-def _result(finding: Finding, fingerprint: str) -> Dict:
-    result = {
         "ruleId": finding.rule,
         "level": "error",
         "message": {"text": finding.message},
@@ -88,30 +55,11 @@ def _result(finding: Finding, fingerprint: str) -> Dict:
                 }
             }
         ],
-        # v2: the baseline fingerprint now hashes the producing engine
-        # too, so dedup is engine-aware across analysis families.
-        "partialFingerprints": {"reprolintFingerprint/v2": fingerprint},
     }
-    if finding.fix is not None:
-        result["fixes"] = [_fix(finding)]
-    return result
 
 
-def to_sarif(findings: Iterable[Finding],
-             fingerprints: Dict[Finding, str]) -> Dict:
-    """Build the SARIF log dict for ``findings``.
-
-    ``fingerprints`` maps each finding to its content-stable baseline
-    fingerprint (see :mod:`repro.devtools.lint`); findings without an
-    entry get a positional fallback.
-    """
-    results: List[Dict] = []
-    for finding in findings:
-        fingerprint = fingerprints.get(
-            finding,
-            f"{finding.rule}:{finding.path}:{finding.line}:{finding.col}",
-        )
-        results.append(_result(finding, fingerprint))
+def to_sarif(findings: Iterable[Finding]) -> Dict:
+    """Build the SARIF log dict for ``findings``."""
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -128,16 +76,14 @@ def to_sarif(findings: Iterable[Finding],
                     }
                 },
                 "columnKind": "utf16CodeUnits",
-                "results": results,
+                "results": [_result(finding) for finding in findings],
             }
         ],
     }
 
 
-def render_sarif(findings: Iterable[Finding],
-                 fingerprints: Dict[Finding, str]) -> str:
-    return json.dumps(to_sarif(findings, fingerprints), indent=2,
-                      sort_keys=True) + "\n"
+def render_sarif(findings: Iterable[Finding]) -> str:
+    return json.dumps(to_sarif(findings), indent=2, sort_keys=True) + "\n"
 
 
 def validate_sarif(payload: Dict) -> List[str]:
@@ -190,18 +136,6 @@ def validate_sarif(payload: Dict) -> List[str]:
                        .get("artifactLocation", {}).get("uri"))
                 need(isinstance(uri, str) and uri,
                      f"{where}.locations[{k}] artifactLocation.uri required")
-            for k, fix in enumerate(result.get("fixes", [])):
-                need(isinstance(fix.get("description", {}).get("text"), str),
-                     f"{where}.fixes[{k}].description.text required")
-                for change in fix.get("artifactChanges", []):
-                    for m, repl in enumerate(change.get("replacements", [])):
-                        region = repl.get("deletedRegion", {})
-                        for key in ("startLine", "startColumn",
-                                    "endLine", "endColumn"):
-                            value = region.get(key)
-                            need(isinstance(value, int) and value >= 1,
-                                 f"{where}.fixes[{k}] replacement[{m}] "
-                                 f"deletedRegion.{key} must be a 1-based int")
     return problems
 
 

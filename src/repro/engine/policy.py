@@ -22,9 +22,6 @@ Fields:
   engine run executed under the policy reports one document to it.
 * ``shard_strategy`` — ``"cost"`` (default: dispatch shards by
   descending estimated cost) or ``"count"`` (legacy index order).
-
-The legacy ``jobs=``/``cache=`` kwargs keep working on the facade via
-shims that emit :class:`DeprecationWarning` pointing here.
 """
 
 from __future__ import annotations

@@ -51,9 +51,10 @@ class TestFacade:
 
     def test_analyze_all_with_cache(self, small_dataset):
         cache = api.AnalysisCache()
-        first = api.analyze(small_dataset, cache=cache)
+        policy = api.ExecutionPolicy(cache=cache)
+        first = api.analyze(small_dataset, policy=policy)
         assert set(first) == set(api.ANALYSES)
-        api.analyze(small_dataset, cache=cache)
+        api.analyze(small_dataset, policy=policy)
         assert cache.stats.hits == len(api.ANALYSES)
 
     def test_full_report_text(self, small_dataset):
@@ -91,29 +92,6 @@ class TestResultShapes:
 
 
 class TestDeprecatedAliases:
-    def test_overview_aliases_warn_and_match(self, small_dataset):
-        pairs = [
-            (overview.category_breakdown, overview.categories, ()),
-            (overview.component_breakdown, overview.components, ()),
-            (overview.failure_type_breakdown, overview.failure_types,
-             (ComponentClass.HDD,)),
-            (overview.detection_source_breakdown, overview.detection_sources,
-             ()),
-        ]
-        for old, new, extra in pairs:
-            with pytest.warns(DeprecationWarning):
-                via_old = old(small_dataset, *extra)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                via_new = new(small_dataset, *extra)
-            assert via_old == via_new
-
-    def test_comparison_rows_alias(self, small_dataset):
-        result = compare.compare_datasets(small_dataset, small_dataset)
-        with pytest.warns(DeprecationWarning):
-            rows = compare.comparison_rows(result)
-        assert rows == result.rows()
-
     def test_canonical_names_do_not_warn(self, small_dataset):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -38,7 +38,7 @@ FACTS = [
     conversion("hours"),
     dimensionless(),
     Fact(unordered=True),
-    Fact(width="int32"),
+    Fact(column="view of column property '.error_times'"),
     Fact(unit=TOP),
 ]
 

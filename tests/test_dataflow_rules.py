@@ -1,16 +1,12 @@
-"""Rule-level tests for ``--engine=dataflow``: positive/negative
-fixtures for RPL101–RPL104, the interprocedural RPL001/002 analyses,
-suppression handling, and parity with the PR 4 syntactic rules."""
+"""Rule-level tests for the dataflow pass: positive/negative fixtures
+for RPL101, RPL102 and RPL104, the interprocedural RPL001/002 analyses,
+and suppression handling."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from repro.devtools.lint import LintResult, run_lint
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(tmp_path: Path, rel: str, source: str) -> Path:
@@ -21,11 +17,11 @@ def write(tmp_path: Path, rel: str, source: str) -> Path:
 
 
 def lint_dataflow(*paths: Path) -> LintResult:
-    return run_lint([str(p) for p in paths], engine="dataflow")
+    return run_lint([str(p) for p in paths])
 
 
 def rules_hit(result: LintResult) -> set:
-    return {finding.rule for finding in result.new}
+    return {finding.rule for finding in result.findings}
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +36,7 @@ class TestRPL101:
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL101"}
-        assert "seconds + days" in result.new[0].message
+        assert "seconds + days" in result.findings[0].message
 
     def test_flags_cross_unit_comparison(self, tmp_path):
         path = write(
@@ -50,7 +46,7 @@ class TestRPL101:
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL101"}
-        assert "comparing" in result.new[0].message
+        assert "comparing" in result.findings[0].message
 
     def test_flags_unit_mismatched_assignment(self, tmp_path):
         path = write(
@@ -80,7 +76,7 @@ class TestRPL101:
             "    hours = span_seconds / HOUR\n"
             "    return days, hours\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_allows_threshold_against_conversion_constant(self, tmp_path):
         # DAY is a value *in seconds*, so seconds < DAY is coherent.
@@ -90,7 +86,7 @@ class TestRPL101:
             "def f(span_seconds):\n"
             "    return span_seconds < DAY\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_allows_dimensionless_offsets(self, tmp_path):
         path = write(
@@ -100,7 +96,7 @@ class TestRPL101:
             "    n_days = int(span_seconds // DAY) + 1\n"
             "    return n_days\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_respects_unit_decorator_declaration(self, tmp_path):
         path = write(
@@ -112,7 +108,7 @@ class TestRPL101:
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL101"}
-        assert "declared to return days" in result.new[0].message
+        assert "declared to return days" in result.findings[0].message
 
     def test_respects_newtype_annotations(self, tmp_path):
         path = write(
@@ -124,7 +120,7 @@ class TestRPL101:
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL101"}
-        assert "annotated as hours" in result.new[0].message
+        assert "annotated as hours" in result.findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ class TestRPL102:
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL102"}
-        assert "timeutil.DAY" in result.new[0].message
+        assert "timeutil.DAY" in result.findings[0].message
 
     def test_flags_magic_hour_multiplier_int(self, tmp_path):
         path = write(
@@ -156,7 +152,7 @@ class TestRPL102:
             "def f(window_seconds=86400.0):\n"
             "    return window_seconds\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_allows_named_constants(self, tmp_path):
         path = write(
@@ -165,7 +161,7 @@ class TestRPL102:
             "def f(span_seconds):\n"
             "    return span_seconds / DAY\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_magic_literal_still_infers_target_unit(self, tmp_path):
         # the engine treats 3600.0 as seconds-per-hour, so the division
@@ -177,61 +173,6 @@ class TestRPL102:
             "    return days\n",
         )
         assert rules_hit(lint_dataflow(path)) == {"RPL101", "RPL102"}
-
-
-# ---------------------------------------------------------------------------
-# RPL103 — dtype narrowing over time values
-# ---------------------------------------------------------------------------
-class TestRPL103:
-    def test_flags_int32_cast_of_timestamps(self, tmp_path):
-        path = write(
-            tmp_path, "src/repro/analysis/bad.py",
-            "import numpy as np\n"
-            "def f(dataset):\n"
-            "    return dataset.error_times.astype(np.int32)\n",
-        )
-        result = lint_dataflow(path)
-        assert rules_hit(result) == {"RPL103"}
-        assert "int32" in result.new[0].message
-
-    def test_flags_narrow_dtype_kwarg(self, tmp_path):
-        path = write(
-            tmp_path, "src/repro/analysis/bad.py",
-            "import numpy as np\n"
-            "def f(span_seconds):\n"
-            "    return np.asarray(span_seconds, dtype=np.float32)\n",
-        )
-        assert rules_hit(lint_dataflow(path)) == {"RPL103"}
-
-    def test_flags_narrow_accumulation(self, tmp_path):
-        path = write(
-            tmp_path, "src/repro/analysis/bad.py",
-            "import numpy as np\n"
-            "def f(dataset):\n"
-            "    narrow = dataset.error_times.astype(np.int32)\n"
-            "    return np.cumsum(narrow)\n",
-        )
-        result = lint_dataflow(path)
-        assert "RPL103" in rules_hit(result)
-
-    def test_allows_wide_cast(self, tmp_path):
-        path = write(
-            tmp_path, "src/repro/analysis/good.py",
-            "import numpy as np\n"
-            "def f(dataset):\n"
-            "    return dataset.error_times.astype(np.float64)\n",
-        )
-        assert lint_dataflow(path).new == []
-
-    def test_allows_narrow_cast_of_counts(self, tmp_path):
-        # hour-of-day indexes in 0..23 are counts, not timestamps
-        path = write(
-            tmp_path, "src/repro/analysis/good.py",
-            "import numpy as np\n"
-            "def f(n_hosts):\n"
-            "    return np.asarray(n_hosts, dtype=np.int32)\n",
-        )
-        assert lint_dataflow(path).new == []
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +191,7 @@ class TestRPL104:
         )
         result = lint_dataflow(path)
         assert rules_hit(result) == {"RPL104"}
-        assert "bit-equivalence" in result.new[0].message
+        assert "bit-equivalence" in result.findings[0].message
 
     def test_flags_listing_materialization(self, tmp_path):
         path = write(
@@ -279,7 +220,7 @@ class TestRPL104:
             "    files = sorted(directory.glob('*.pkl'))\n"
             "    return out, [p.name for p in files]\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_allows_order_insensitive_consumers(self, tmp_path):
         path = write(
@@ -288,7 +229,7 @@ class TestRPL104:
             "    seen = set(idcs)\n"
             "    return len(seen), min(seen), max(seen), sum(seen)\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_allows_membership_tests(self, tmp_path):
         path = write(
@@ -297,7 +238,7 @@ class TestRPL104:
             "    seen = set(idcs)\n"
             "    return probe in seen\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_scoped_to_deterministic_packages(self, tmp_path):
         # the CLI may iterate sets for display; only the packages behind
@@ -310,7 +251,7 @@ class TestRPL104:
             "        out.append(idc)\n"
             "    return out\n",
         )
-        assert lint_dataflow(path).new == []
+        assert lint_dataflow(path).findings == []
 
     def test_taint_propagates_through_assignment(self, tmp_path):
         path = write(
@@ -341,7 +282,7 @@ class TestInterprocedural:
             "    return now()\n",
         )
         result = lint_dataflow(tmp_path / "src")
-        rpl001 = [f for f in result.new if f.rule == "RPL001"]
+        rpl001 = [f for f in result.findings if f.rule == "RPL001"]
         assert any(f.path == user.as_posix() for f in rpl001)
         assert any("nondeterministic" in f.message for f in rpl001)
 
@@ -363,7 +304,7 @@ class TestInterprocedural:
         result = lint_dataflow(tmp_path / "src")
         assert any(
             f.rule == "RPL001" and f.path == user.as_posix()
-            for f in result.new
+            for f in result.findings
         )
 
     def test_rpl001_no_double_flag_inside_deterministic_packages(
@@ -380,7 +321,7 @@ class TestInterprocedural:
             "    return now()\n",
         )
         result = lint_dataflow(tmp_path / "src")
-        rpl001 = [f for f in result.new if f.rule == "RPL001"]
+        rpl001 = [f for f in result.findings if f.rule == "RPL001"]
         assert len(rpl001) == 1  # the time.time() read, not the call
 
     def test_rpl002_flags_column_passed_to_mutator(self, tmp_path):
@@ -397,7 +338,7 @@ class TestInterprocedural:
             "    return clobber(dataset.error_times)\n",
         )
         result = lint_dataflow(tmp_path / "src")
-        rpl002 = [f for f in result.new if f.rule == "RPL002"]
+        rpl002 = [f for f in result.findings if f.rule == "RPL002"]
         assert any(
             f.path == user.as_posix() and "mutates its parameter" in f.message
             for f in rpl002
@@ -416,11 +357,11 @@ class TestInterprocedural:
             "    return mean_of(dataset.error_times)\n",
         )
         result = lint_dataflow(tmp_path / "src")
-        assert not [f for f in result.new if f.rule == "RPL002"]
+        assert not [f for f in result.findings if f.rule == "RPL002"]
 
 
 # ---------------------------------------------------------------------------
-# suppressions + engine parity
+# suppressions
 # ---------------------------------------------------------------------------
 class TestSuppressionAndParity:
     def test_dataflow_findings_are_suppressible(self, tmp_path):
@@ -431,60 +372,5 @@ class TestSuppressionAndParity:
             "  # reprolint: disable=RPL101 -- fixture exercising suppression\n",
         )
         result = lint_dataflow(path)
-        assert result.new == []
+        assert result.findings == []
         assert len(result.suppressed) == 1
-
-    def test_ast_engine_ignores_dataflow_suppressions(self, tmp_path):
-        # an RPL101 suppression must not be reported as unused when the
-        # engine that runs cannot produce RPL101 findings at all
-        path = write(
-            tmp_path, "src/repro/analysis/justified.py",
-            "def f(span_seconds, window_days):\n"
-            "    return span_seconds + window_days"
-            "  # reprolint: disable=RPL101 -- fixture exercising suppression\n",
-        )
-        assert run_lint([str(path)], engine="ast").new == []
-
-    @pytest.mark.parametrize(
-        ("rel", "source"),
-        [
-            (
-                "src/repro/simulation/bad.py",
-                "import random\nimport time\n\n\ndef jitter():\n"
-                "    return random.random() + time.time()\n",
-            ),
-            (
-                "src/repro/analysis/bad.py",
-                "def f(dataset):\n"
-                "    dataset.error_times[0] = 1.0\n",
-            ),
-            (
-                "src/repro/stats/bad.py",
-                "import numpy as np\n\n\ndef draw():\n"
-                "    return np.random.rand(3)\n",
-            ),
-        ],
-        ids=["rpl001-randomness", "rpl002-mutation", "rpl001-legacy-np"],
-    )
-    def test_dataflow_engine_is_superset_of_ast_engine(
-        self, tmp_path, rel, source
-    ):
-        """Parity: every PR 4 syntactic finding appears identically under
-        the dataflow engine (which may only *add* findings)."""
-        path = write(tmp_path, rel, source)
-        ast_result = run_lint([str(path)], engine="ast")
-        df_result = run_lint([str(path)], engine="dataflow")
-        key = lambda f: (f.rule, f.path, f.line, f.col, f.message)  # noqa: E731
-        assert set(map(key, ast_result.new)) <= set(map(key, df_result.new))
-        assert ast_result.new  # the fixtures really do trip the old rules
-
-
-def test_repo_tree_is_dataflow_clean():
-    """The acceptance gate: the dataflow engine runs clean over the repo
-    (modulo the committed baseline and justified suppressions)."""
-    result = run_lint(
-        [str(REPO_ROOT / "src")],
-        baseline=REPO_ROOT / "reprolint-baseline.json",
-        engine="dataflow",
-    )
-    assert result.new == [], "\n".join(f.render() for f in result.new)

@@ -133,16 +133,6 @@ class TestFacadeJobs:
         )
         assert_traces_identical(serial, sharded)
 
-    def test_api_simulate_legacy_jobs_kwarg_warns_but_works(self):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match="jobs= kwarg is deprecated"):
-            legacy = repro.simulate(scale=0.01, seed=42, jobs=2)
-        clean = repro.simulate(
-            scale=0.01, seed=42, policy=repro.ExecutionPolicy(jobs=2)
-        )
-        assert_traces_identical(legacy, clean)
-
 
 class TestSingleCpuSerialDecision:
     """``jobs>1`` (or ``"auto"``) on a 1-CPU host must run serially —

@@ -124,34 +124,19 @@ class TestFacadeThreading:
 
 
 class TestDeprecationShims:
-    def test_simulate_jobs_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="jobs= kwarg"):
-            repro.simulate(scale=0.01, seed=31, jobs=1)
-
-    def test_analyze_cache_kwarg_warns_but_works(self, dataset):
-        cache = AnalysisCache()
-        with pytest.warns(DeprecationWarning, match="cache= kwarg"):
-            api.analyze(dataset, "categories", cache=cache)
-        assert cache.stats.misses > 0
-
-    def test_full_report_cache_kwarg_warns(self, dataset):
-        with pytest.warns(DeprecationWarning, match="cache= kwarg"):
-            api.full_report(dataset, cache=AnalysisCache(), headline_only=True)
-
     def test_policy_plus_legacy_kwarg_is_an_error(self, dataset):
-        with pytest.raises(ValueError, match="not alongside"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        # The pre-policy kwargs are gone: policy= is the only spelling.
+        with pytest.raises(TypeError, match="jobs"):
             repro.simulate(
                 scale=0.01, seed=31, jobs=2, policy=ExecutionPolicy()
             )
-        with pytest.raises(ValueError, match="not alongside"), \
-                warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="cache"):
             api.analyze(
                 dataset, "categories",
                 cache=AnalysisCache(), policy=ExecutionPolicy(),
             )
+        with pytest.raises(TypeError, match="cache"):
+            api.full_report(dataset, cache=AnalysisCache())
 
     def test_policy_path_never_warns(self, dataset):
         with warnings.catch_warnings():

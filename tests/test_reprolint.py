@@ -1,31 +1,30 @@
 """Tests for ``reprolint`` (:mod:`repro.devtools.lint` / ``rules``).
 
-Each rule gets a positive fixture (a synthetic file that must be
-flagged) and a suppressed negative (the same code with a justified
+Each syntactic rule gets a positive fixture (a synthetic file that must
+be flagged) and a suppressed negative (the same code with a justified
 inline suppression).  Fixtures are written under ``tmp_path`` using the
 real package anchors (``src/repro/...``) so the path-scoped rules see
-the module names they key on.
+the module names they key on.  The command-line tests cover exit statuses,
+reporters, options, and the repo-clean gate.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.devtools.lint import (
     LintResult,
+    UsageError,
+    build_parser,
     collect_files,
-    load_baseline,
     main,
     run_lint,
-    write_baseline,
 )
 from repro.devtools.rules import (
     COLUMN_PROPERTIES,
     RULES,
-    SCHEMA_FIELDS,
     module_name,
     module_parts,
 )
@@ -45,7 +44,7 @@ def lint(*paths: Path) -> LintResult:
 
 
 def rules_hit(result: LintResult) -> set:
-    return {finding.rule for finding in result.new}
+    return {finding.rule for finding in result.findings}
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +67,15 @@ def test_collect_files_skips_pycache(tmp_path):
 
 def test_collect_files_rejects_non_python(tmp_path):
     target = write(tmp_path, "notes.txt", "")
-    with pytest.raises(SystemExit):
+    with pytest.raises(UsageError):
         collect_files([str(target)])
 
 
 def test_rule_catalog_is_complete():
-    syntactic = {f"RPL00{i}" for i in range(6)}
-    dataflow = {f"RPL10{i}" for i in range(1, 5)}
-    effects = {"RPL201", "RPL202", "RPL203", "RPL211", "RPL212", "RPL213"}
-    perf = {f"RPL30{i}" for i in range(1, 6)}
-    assert set(RULES) == syntactic | dataflow | effects | perf
+    syntactic = {"RPL000", "RPL001", "RPL002"}
+    dataflow = {"RPL101", "RPL102", "RPL104"}
+    effects = {"RPL201", "RPL202"}
+    assert set(RULES) == syntactic | dataflow | effects
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,7 @@ def test_rpl001_flags_unseeded_randomness(tmp_path):
     path = write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
     result = lint(path)
     assert rules_hit(result) == {"RPL001"}
-    assert len(result.new) == 2  # random.random and time.time
+    assert len(result.findings) == 2  # random.random and time.time
 
 
 def test_rpl001_flags_legacy_numpy_random(tmp_path):
@@ -107,7 +105,7 @@ def test_rpl001_flags_legacy_numpy_random(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL001"}
-    assert "legacy numpy.random" in result.new[0].message
+    assert "legacy numpy.random" in result.findings[0].message
 
 
 def test_rpl001_allows_seeded_generator(tmp_path):
@@ -116,13 +114,13 @@ def test_rpl001_allows_seeded_generator(tmp_path):
         "import numpy as np\n\n\ndef draw(seed):\n"
         "    return np.random.default_rng(seed).random(3)\n",
     )
-    assert lint(path).new == []
+    assert lint(path).findings == []
 
 
 def test_rpl001_scoped_to_deterministic_packages(tmp_path):
     # Same nondeterministic code outside the data-producing packages.
     path = write(tmp_path, "src/repro/cli2.py", RPL001_BAD)
-    assert lint(path).new == []
+    assert lint(path).findings == []
 
 
 def test_rpl001_suppressed_with_justification(tmp_path):
@@ -133,7 +131,7 @@ def test_rpl001_suppressed_with_justification(tmp_path):
     )
     path = write(tmp_path, "src/repro/simulation/bad.py", source)
     result = lint(path)
-    assert result.new == []
+    assert result.findings == []
     assert len(result.suppressed) == 2
 
 
@@ -147,7 +145,7 @@ def test_rpl002_flags_subscript_store_into_column(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL002"}
-    assert "immutable" in result.new[0].message
+    assert "immutable" in result.findings[0].message
 
 
 def test_rpl002_tracks_taint_through_aliases(tmp_path):
@@ -159,7 +157,7 @@ def test_rpl002_tracks_taint_through_aliases(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL002"}
-    assert ".sort()" in result.new[0].message
+    assert ".sort()" in result.findings[0].message
 
 
 def test_rpl002_flags_setflags_thaw(tmp_path):
@@ -180,7 +178,7 @@ def test_rpl002_core_creation_must_freeze_before_escape(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL002"}
-    assert "escapes" in result.new[0].message
+    assert "escapes" in result.findings[0].message
 
 
 def test_rpl002_core_frozen_escape_is_clean(tmp_path):
@@ -189,7 +187,7 @@ def test_rpl002_core_frozen_escape_is_clean(tmp_path):
         "import numpy as np\n\n\ndef build(n):\n"
         "    out = np.zeros(n)\n    out.setflags(write=False)\n    return out\n",
     )
-    assert lint(path).new == []
+    assert lint(path).findings == []
 
 
 def test_rpl002_copy_then_mutate_is_clean(tmp_path):
@@ -199,7 +197,7 @@ def test_rpl002_copy_then_mutate_is_clean(tmp_path):
         "import numpy as np\n\n\ndef ordered(dataset):\n"
         "    return np.sort(dataset.error_times)\n",
     )
-    assert lint(path).new == []
+    assert lint(path).findings == []
 
 
 def test_rpl002_suppressed_with_justification(tmp_path):
@@ -210,189 +208,7 @@ def test_rpl002_suppressed_with_justification(tmp_path):
         "  # reprolint: disable=RPL002 -- asserts the write raises\n",
     )
     result = lint(path)
-    assert result.new == []
-    assert len(result.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# RPL003 — cache purity (cross-file registry)
-# ---------------------------------------------------------------------------
-def fake_api(registry_line: str) -> str:
-    return (
-        "from repro.analysis import overview\n\n"
-        f"ANALYSES = {{\n    {registry_line}\n}}\n"
-    )
-
-
-def test_rpl003_flags_impure_registered_analysis(tmp_path):
-    api = write(
-        tmp_path, "src/repro/api.py",
-        fake_api('"categories": (overview.categories, {}),'),
-    )
-    impl = write(
-        tmp_path, "src/repro/analysis/overview.py",
-        "RESULTS = {}\n\n\ndef categories(dataset):\n"
-        "    RESULTS['last'] = len(dataset)\n"
-        "    print('done')\n"
-        "    return RESULTS\n",
-    )
-    result = lint(api, impl)
-    messages = [f.message for f in result.new]
-    assert rules_hit(result) == {"RPL003"}
-    assert any("module global" in m for m in messages)
-    assert any("prints" in m for m in messages)
-
-
-def test_rpl003_flags_argument_mutation_and_io(tmp_path):
-    api = write(
-        tmp_path, "src/repro/api.py",
-        fake_api('"categories": (overview.categories, {}),'),
-    )
-    impl = write(
-        tmp_path, "src/repro/analysis/overview.py",
-        "def categories(dataset, acc=None):\n"
-        "    acc.append(len(dataset))\n"
-        "    open('/tmp/x').read()\n"
-        "    return acc\n",
-    )
-    result = lint(api, impl)
-    messages = [f.message for f in result.new]
-    assert any("mutates argument 'acc'" in m for m in messages)
-    assert any("opens a file" in m for m in messages)
-
-
-def test_rpl003_unregistered_functions_unchecked(tmp_path):
-    api = write(
-        tmp_path, "src/repro/api.py",
-        fake_api('"categories": (overview.categories, {}),'),
-    )
-    impl = write(
-        tmp_path, "src/repro/analysis/overview.py",
-        "def categories(dataset):\n    return len(dataset)\n\n\n"
-        "def save(dataset):\n    open('/tmp/x', 'w').write('x')\n",
-    )
-    assert lint(api, impl).new == []
-
-
-def test_rpl003_suppressed_with_justification(tmp_path):
-    api = write(
-        tmp_path, "src/repro/api.py",
-        fake_api('"categories": (overview.categories, {}),'),
-    )
-    impl = write(
-        tmp_path, "src/repro/analysis/overview.py",
-        "def categories(dataset):\n"
-        "    print('x')"
-        "  # reprolint: disable=RPL003 -- debug hook stripped in release\n"
-        "    return len(dataset)\n",
-    )
-    result = lint(api, impl)
-    assert result.new == []
-    assert len(result.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# RPL004 — schema integrity
-# ---------------------------------------------------------------------------
-def test_rpl004_flags_unknown_record_key(tmp_path):
-    path = write(
-        tmp_path, "src/repro/core/io.py",
-        "def read(record):\n    return record['hostname_typo']\n",
-    )
-    result = lint(path)
-    assert rules_hit(result) == {"RPL004"}
-    assert "hostname_typo" in result.new[0].message
-
-
-def test_rpl004_flags_unknown_fields_constant(tmp_path):
-    path = write(
-        tmp_path, "src/repro/fleet/consts.py",
-        "CSV_FIELDS = ['host_id', 'no_such_field']\n",
-    )
-    result = lint(path)
-    assert rules_hit(result) == {"RPL004"}
-    assert "no_such_field" in result.new[0].message
-
-
-def test_rpl004_accepts_canonical_fields(tmp_path):
-    fields = ", ".join(repr(f) for f in sorted(SCHEMA_FIELDS))
-    path = write(
-        tmp_path, "src/repro/core/io.py",
-        f"CSV_FIELDS = [{fields}]\n\n\n"
-        "def read(record):\n    return record['host_id'], record.get('detail')\n",
-    )
-    assert lint(path).new == []
-
-
-def test_rpl004_unscoped_dicts_not_checked(tmp_path):
-    # A dict that is not named like a record is out of scope even in a
-    # record module.
-    path = write(
-        tmp_path, "src/repro/core/io.py",
-        "def stats():\n    counters = {}\n    counters['whatever'] = 1\n"
-        "    return counters\n",
-    )
-    assert lint(path).new == []
-
-
-def test_rpl004_suppressed_with_justification(tmp_path):
-    path = write(
-        tmp_path, "src/repro/core/io.py",
-        "def read(record):\n"
-        "    return record['hostname_typo']"
-        "  # reprolint: disable=RPL004 -- chaos fixture injects bad keys\n",
-    )
-    result = lint(path)
-    assert result.new == []
-    assert len(result.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
-# RPL005 — API hygiene
-# ---------------------------------------------------------------------------
-def test_rpl005_flags_unbound_export(tmp_path):
-    path = write(
-        tmp_path, "src/repro/analysis/mod.py",
-        "__all__ = ['exists', 'ghost']\n\n\ndef exists():\n    return 1\n",
-    )
-    result = lint(path)
-    assert rules_hit(result) == {"RPL005"}
-    assert "ghost" in result.new[0].message
-
-
-def test_rpl005_understands_lazy_exports(tmp_path):
-    path = write(
-        tmp_path, "src/repro/analysis/mod.py",
-        "__all__ = ['lazy_thing']\n"
-        "_LAZY = {'lazy_thing': 'repro.analysis.other'}\n\n\n"
-        "def __getattr__(name):\n    raise AttributeError(name)\n",
-    )
-    assert lint(path).new == []
-
-
-def test_rpl005_facade_import_must_be_exported(tmp_path):
-    api = write(
-        tmp_path, "src/repro/api.py",
-        "from repro.analysis.mod import hidden\n\n__all__ = ['hidden']\n",
-    )
-    mod = write(
-        tmp_path, "src/repro/analysis/mod.py",
-        "__all__ = ['public']\n\n\ndef public():\n    return 1\n\n\n"
-        "def hidden():\n    return 2\n",
-    )
-    result = lint(api, mod)
-    assert rules_hit(result) == {"RPL005"}
-    assert "missing from that module's __all__" in result.new[0].message
-
-
-def test_rpl005_suppressed_with_justification(tmp_path):
-    path = write(
-        tmp_path, "src/repro/analysis/mod.py",
-        "__all__ = ['ghost']"
-        "  # reprolint: disable=RPL005 -- bound dynamically at import\n",
-    )
-    result = lint(path)
-    assert result.new == []
+    assert result.findings == []
     assert len(result.suppressed) == 1
 
 
@@ -407,7 +223,7 @@ def test_rpl000_missing_justification_does_not_suppress(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL000", "RPL002"}
-    assert any("justification" in f.message for f in result.new)
+    assert any("justification" in f.message for f in result.findings)
 
 
 def test_rpl000_unused_suppression_is_flagged(tmp_path):
@@ -418,7 +234,7 @@ def test_rpl000_unused_suppression_is_flagged(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL000"}
-    assert "unused suppression" in result.new[0].message
+    assert "unused suppression" in result.findings[0].message
 
 
 def test_rpl000_unknown_rule_is_flagged(tmp_path):
@@ -427,7 +243,7 @@ def test_rpl000_unknown_rule_is_flagged(tmp_path):
         "X = 1  # reprolint: disable=RPL999 -- bogus\n",
     )
     result = lint(path)
-    assert any("unknown rule" in f.message for f in result.new)
+    assert any("unknown rule" in f.message for f in result.findings)
 
 
 def test_rpl000_malformed_comment_is_flagged(tmp_path):
@@ -437,7 +253,7 @@ def test_rpl000_malformed_comment_is_flagged(tmp_path):
     )
     result = lint(path)
     assert rules_hit(result) == {"RPL000"}
-    assert "malformed" in result.new[0].message
+    assert "malformed" in result.findings[0].message
 
 
 def test_suppression_lookalike_inside_string_ignored(tmp_path):
@@ -445,88 +261,12 @@ def test_suppression_lookalike_inside_string_ignored(tmp_path):
         tmp_path, "src/repro/analysis/fine.py",
         'DOC = "x = 1  # reprolint: disable=RPL002"\n',
     )
-    assert lint(path).new == []
-
-
-# ---------------------------------------------------------------------------
-# baseline round-trip
-# ---------------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    bad = write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
-    first = lint(bad)
-    assert first.exit_code == 1 and len(first.new) == 2
-
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.new, first.new_fingerprints)
-    assert load_baseline(baseline_path) == set(first.new_fingerprints)
-
-    second = run_lint([str(bad)], baseline=baseline_path)
-    assert second.exit_code == 0
-    assert second.new == []
-    assert len(second.baselined) == 2
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    bad = write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
-    first = lint(bad)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.new, first.new_fingerprints)
-
-    # Prepend lines: positions move, content fingerprints do not.
-    bad.write_text("# moved\n# down\n" + RPL001_BAD, encoding="utf-8")
-    drifted = run_lint([str(bad)], baseline=baseline_path)
-    assert drifted.exit_code == 0
-    assert len(drifted.baselined) == 2
-
-
-def test_baseline_does_not_hide_new_findings(tmp_path):
-    bad = write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
-    first = lint(bad)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(baseline_path, first.new, first.new_fingerprints)
-
-    bad.write_text(RPL001_BAD + "\n\ndef more():\n    return random.random()\n",
-                   encoding="utf-8")
-    drifted = run_lint([str(bad)], baseline=baseline_path)
-    assert drifted.exit_code == 1
-    assert len(drifted.new) == 1
-    assert len(drifted.baselined) == 2
-
-
-def test_baseline_rejects_unknown_version(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    baseline_path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(SystemExit):
-        load_baseline(baseline_path)
+    assert lint(path).findings == []
 
 
 # ---------------------------------------------------------------------------
 # reporters / CLI
 # ---------------------------------------------------------------------------
-def test_json_reporter_schema(tmp_path, capsys, monkeypatch):
-    write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
-    monkeypatch.chdir(tmp_path)
-    code = main(["src", "--no-baseline", "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert payload["version"] == 1
-    assert payload["summary"] == {"new": 2, "baselined": 0, "suppressed": 0}
-    for finding in payload["findings"]:
-        assert set(finding) == {
-            "engine", "rule", "path", "line", "col", "message", "fingerprint",
-        }
-        assert finding["rule"] == "RPL001"
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys, monkeypatch):
-    write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
-    monkeypatch.chdir(tmp_path)
-    assert main(["src", "--write-baseline"]) == 0
-    assert main(["src"]) == 0  # default baseline picked up
-    out = capsys.readouterr().out
-    assert "2 baselined" in out
-
-
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -534,17 +274,61 @@ def test_cli_list_rules(capsys):
         assert rule in out
 
 
+def test_cli_text_report_exits_1_on_findings(tmp_path, capsys, monkeypatch):
+    write(tmp_path, "src/repro/simulation/bad.py", RPL001_BAD)
+    monkeypatch.chdir(tmp_path)
+    assert main(["src"]) == 1
+    out = capsys.readouterr().out
+    assert "RPL001" in out
+    assert "2 finding(s), 0 suppressed" in out
+
+
+def test_cli_options_are_format_output_list_rules():
+    options = {
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+    }
+    assert options == {"-h", "--help", "--format", "--output", "--list-rules"}
+
+
+@pytest.mark.parametrize(
+    ("target", "message"),
+    [
+        ("nosuchdir", "no such file or directory"),
+        ("missing.py", "no such file or directory"),
+        ("notes.txt", "not a python file or directory"),
+        ("broken.py", "cannot parse"),
+        ("latin1.py", "cannot parse"),
+    ],
+)
+def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch, target,
+                                 message):
+    """Usage errors exit 2 with the reason on stderr, distinct from the
+    exit 1 that means "findings"."""
+    write(tmp_path, "notes.txt", "")
+    write(tmp_path, "broken.py", "def f(:\n")
+    (tmp_path / "latin1.py").write_bytes(b"X = '\xe9'\n")
+    monkeypatch.chdir(tmp_path)
+    assert main([target]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # the real tree
 # ---------------------------------------------------------------------------
 def test_repo_tree_is_lint_clean():
-    """The committed tree linted against the committed baseline is clean."""
+    """The repo-clean gate: one pass of every rule over the tree CI
+    lints (``src tests benchmarks``) leaves no unsuppressed finding."""
     result = run_lint(
         [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
          str(REPO_ROOT / "benchmarks")],
-        baseline=REPO_ROOT / "reprolint-baseline.json",
     )
-    assert result.exit_code == 0, "\n".join(f.render() for f in result.new)
+    assert result.exit_code == 0, "\n".join(
+        f.render() for f in result.findings
+    )
 
 
 def test_column_properties_reflect_dataset_surface():
@@ -553,4 +337,3 @@ def test_column_properties_reflect_dataset_surface():
     assert {"error_times", "op_times", "response_times",
             "category_codes"} <= COLUMN_PROPERTIES
     assert "store" not in COLUMN_PROPERTIES
-    assert "host_id" in SCHEMA_FIELDS and "hostname_typo" not in SCHEMA_FIELDS

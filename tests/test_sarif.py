@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import main, run_lint
+from repro.devtools.lint import main
 from repro.devtools.rules import RULES, Finding
 from repro.devtools.sarif import (
     SARIF_SCHEMA,
@@ -108,12 +108,6 @@ SARIF_MINI_SCHEMA = {
                                         },
                                     },
                                 },
-                                "partialFingerprints": {
-                                    "type": "object",
-                                    "additionalProperties": {
-                                        "type": "string"
-                                    },
-                                },
                             },
                         },
                     },
@@ -130,21 +124,20 @@ FINDINGS = [
     Finding("RPL104", "src/repro/engine/bad.py", 3, 0,
             "iteration order of this value is nondeterministic"),
 ]
-PRINTS = {FINDINGS[0]: "aaaa", FINDINGS[1]: "bbbb"}
 
 
 def test_sarif_passes_structural_validation():
-    payload = to_sarif(FINDINGS, PRINTS)
+    payload = to_sarif(FINDINGS)
     assert validate_sarif(payload) == []
 
 
 def test_sarif_passes_json_schema():
-    payload = to_sarif(FINDINGS, PRINTS)
+    payload = to_sarif(FINDINGS)
     jsonschema.validate(payload, SARIF_MINI_SCHEMA)
 
 
 def test_sarif_empty_result_is_valid():
-    payload = to_sarif([], {})
+    payload = to_sarif([])
     assert payload["version"] == SARIF_VERSION
     assert payload["runs"][0]["results"] == []
     assert validate_sarif(payload) == []
@@ -152,34 +145,27 @@ def test_sarif_empty_result_is_valid():
 
 
 def test_sarif_declares_every_rule():
-    payload = to_sarif([], {})
+    payload = to_sarif([])
     declared = {r["id"] for r in payload["runs"][0]["tool"]["driver"]["rules"]}
     assert declared == set(RULES)
 
 
 def test_sarif_positions_are_one_based():
-    payload = to_sarif(FINDINGS, PRINTS)
+    payload = to_sarif(FINDINGS)
     region = (payload["runs"][0]["results"][1]["locations"][0]
               ["physicalLocation"]["region"])
     assert region["startLine"] == 3
     assert region["startColumn"] == 1  # col_offset 0 -> column 1
 
 
-def test_sarif_carries_baseline_fingerprints():
-    payload = to_sarif(FINDINGS, PRINTS)
-    prints = [r["partialFingerprints"]["reprolintFingerprint/v2"]
-              for r in payload["runs"][0]["results"]]
-    assert prints == ["aaaa", "bbbb"]
-
-
 def test_sarif_schema_uri_pins_2_1_0():
     assert "2.1.0" in SARIF_SCHEMA
-    payload = json.loads(render_sarif([], {}))
+    payload = json.loads(render_sarif([]))
     assert payload["$schema"] == SARIF_SCHEMA
 
 
 def test_validate_sarif_catches_breakage():
-    payload = to_sarif(FINDINGS, PRINTS)
+    payload = to_sarif(FINDINGS)
     payload["runs"][0]["results"][0]["locations"][0]["physicalLocation"][
         "region"]["startLine"] = 0
     problems = validate_sarif(payload)
@@ -187,7 +173,7 @@ def test_validate_sarif_catches_breakage():
 
 
 def test_validate_sarif_requires_declared_rule():
-    payload = to_sarif(FINDINGS, PRINTS)
+    payload = to_sarif(FINDINGS)
     payload["runs"][0]["results"][0]["ruleId"] = "RPL999"
     assert any("not declared" in p for p in validate_sarif(payload))
 
@@ -208,8 +194,7 @@ def _write_fixture(tmp_path: Path) -> Path:
 
 def test_cli_format_sarif_to_stdout(tmp_path, capsys):
     path = _write_fixture(tmp_path)
-    code = main(["--engine", "dataflow", "--format", "sarif",
-                 "--no-baseline", str(path)])
+    code = main(["--format", "sarif", str(path)])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
     assert validate_sarif(payload) == []
@@ -219,20 +204,9 @@ def test_cli_format_sarif_to_stdout(tmp_path, capsys):
 def test_cli_output_writes_sarif_file(tmp_path, capsys):
     path = _write_fixture(tmp_path)
     out = tmp_path / "reprolint.sarif"
-    code = main(["--engine", "dataflow", "--format", "sarif",
-                 "--no-baseline", "--output", str(out), str(path)])
+    code = main(["--format", "sarif", "--output", str(out), str(path)])
     assert code == 1
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert validate_sarif(payload) == []
     jsonschema.validate(payload, SARIF_MINI_SCHEMA)
     assert "wrote sarif report" in capsys.readouterr().out
-
-
-def test_sarif_fingerprints_match_lint_result(tmp_path):
-    path = _write_fixture(tmp_path)
-    result = run_lint([str(path)], engine="dataflow")
-    payload = to_sarif(result.new,
-                       dict(zip(result.new, result.new_fingerprints)))
-    emitted = {r["partialFingerprints"]["reprolintFingerprint/v2"]
-               for r in payload["runs"][0]["results"]}
-    assert emitted == set(result.new_fingerprints)
