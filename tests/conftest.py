@@ -6,14 +6,21 @@ most tests need are generated once per session:
 * ``tiny_trace`` — scale 0.01 (~hundreds of servers, ~3k tickets).
 * ``small_trace`` — scale 0.04 (~7k servers, ~11k tickets), used by the
   statistical assertions that need volume.
+
+The reprolint pass over the tree CI lints (``src tests benchmarks``) is
+also run once per session (``tree_lint``) and shared by every
+repo-clean test.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.config import paper_scenario
+from repro.devtools.lint import LintResult, run_lint
 from repro.simulation.trace import SyntheticTrace, generate_trace
 
 
@@ -35,6 +42,14 @@ def tiny_dataset(tiny_trace):
 @pytest.fixture(scope="session")
 def small_dataset(small_trace):
     return small_trace.dataset
+
+
+@pytest.fixture(scope="session")
+def tree_lint() -> LintResult:
+    root = Path(__file__).resolve().parents[1]
+    return run_lint(
+        [str(root / "src"), str(root / "tests"), str(root / "benchmarks")]
+    )
 
 
 @pytest.fixture()

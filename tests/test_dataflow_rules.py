@@ -8,6 +8,9 @@ from pathlib import Path
 
 from repro.devtools.lint import LintResult, run_lint
 
+#: The rules the value-flow and interprocedural analyses emit.
+DATAFLOW_RULES = {"RPL001", "RPL002", "RPL101", "RPL102", "RPL104"}
+
 
 def write(tmp_path: Path, rel: str, source: str) -> Path:
     path = tmp_path / rel
@@ -374,3 +377,10 @@ class TestSuppressionAndParity:
         result = lint_dataflow(path)
         assert result.findings == []
         assert len(result.suppressed) == 1
+
+
+def test_repo_tree_is_dataflow_clean(tree_lint):
+    """The shared pass over the repo leaves no unsuppressed value-flow
+    or interprocedural finding anywhere in the tree."""
+    hits = [f for f in tree_lint.findings if f.rule in DATAFLOW_RULES]
+    assert hits == [], "\n".join(f.render() for f in hits)

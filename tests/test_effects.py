@@ -162,3 +162,14 @@ class TestServeCoverage:
     def test_serve_has_no_effects_findings(self, serve_analysis):
         *_rest, findings = serve_analysis
         assert [f.render() for f in findings] == []
+
+
+def test_effects_engine_clean_over_src(tree_lint):
+    """End to end: the shared pass over the repo leaves no unsuppressed
+    event-loop finding (RPL201/RPL202) in the real ``src/`` tree."""
+    src = REPO_ROOT / "src"
+    hits = [
+        f for f in tree_lint.findings
+        if f.rule in {"RPL201", "RPL202"} and Path(f.path).is_relative_to(src)
+    ]
+    assert [f.render() for f in hits] == []

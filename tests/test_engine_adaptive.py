@@ -271,3 +271,34 @@ class TestTraceTelemetry:
         trace = generate_trace(tiny_scenario(seed=9), jobs=1)
         assert trace.telemetry is not None
         assert trace.telemetry.plan.mode == MODE_SERIAL
+
+
+class TestReprolintClean:
+    """The engine modules must be clean under the rules that the old
+    syntactic (``ast``) and value-flow (``dataflow``) tiers checked, with
+    no suppressions needed — determinism rules included (telemetry uses
+    only monotonic clocks)."""
+
+    RULE_GROUPS = {
+        "ast": {"RPL000", "RPL001", "RPL002"},
+        "dataflow": {"RPL000", "RPL001", "RPL002", "RPL101", "RPL102",
+                     "RPL104"},
+    }
+
+    @pytest.mark.parametrize("group", ["ast", "dataflow"])
+    def test_new_modules_lint_clean(self, group):
+        from pathlib import Path
+
+        from repro.devtools.lint import run_lint
+
+        root = Path(__file__).resolve().parent.parent / "src" / "repro"
+        targets = [
+            root / "engine" / "adaptive.py",
+            root / "engine" / "telemetry.py",
+            root / "engine" / "policy.py",
+        ]
+        result = run_lint([str(p) for p in targets])
+        rules = self.RULE_GROUPS[group]
+        hits = [f for f in result.findings + result.suppressed
+                if f.rule in rules]
+        assert hits == [], [f.render() for f in hits]

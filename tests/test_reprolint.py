@@ -319,15 +319,11 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch, target,
 # ---------------------------------------------------------------------------
 # the real tree
 # ---------------------------------------------------------------------------
-def test_repo_tree_is_lint_clean():
+def test_repo_tree_is_lint_clean(tree_lint):
     """The repo-clean gate: one pass of every rule over the tree CI
     lints (``src tests benchmarks``) leaves no unsuppressed finding."""
-    result = run_lint(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
-         str(REPO_ROOT / "benchmarks")],
-    )
-    assert result.exit_code == 0, "\n".join(
-        f.render() for f in result.findings
+    assert tree_lint.exit_code == 0, "\n".join(
+        f.render() for f in tree_lint.findings
     )
 
 
