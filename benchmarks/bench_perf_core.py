@@ -53,7 +53,7 @@ With ``--engine``, each tier additionally exercises the
   than ``--jobs``).
 
 With ``--adaptive``, each engine-eligible tier additionally runs the
-self-tuning planner end to end: ``jobs="serial"`` vs. ``jobs="auto"``
+execution planner end to end: ``jobs="serial"`` vs. ``jobs="auto"``
 through one :class:`~repro.engine.policy.ExecutionPolicy`, recording the
 plan the planner chose (mode/jobs/reason from the run telemetry) and the
 measured serial/auto wall-time ratio.  ``--min-parallel-ratio X`` turns
@@ -62,7 +62,10 @@ plan the measured ratio must be at least ``X`` (1.0 = "auto is never
 slower than serial"); when it picked serial the gate passes by
 construction — serial-auto *is* the serial code path, so any wall-time
 delta is timing noise, not a planner failure.  Bit-inequality between
-the two traces always fails the gate.
+the two traces always fails the gate.  At ``--engine-scale 0.05``
+(14.6k servers, above ``PARALLEL_MIN_SERVERS``) ``auto`` picks a pool on
+any machine with two or more usable CPUs, so the gate times a real
+pool against serial.
 
 Usage::
 
@@ -81,7 +84,7 @@ Usage::
 
     # CI adaptive gate: jobs="auto" must never lose to serial
     PYTHONPATH=src python benchmarks/bench_perf_core.py \
-        --tiers 50k --adaptive --engine-scale 0.02 --no-update \
+        --tiers 50k --adaptive --engine-scale 0.05 --no-update \
         --min-parallel-ratio 1.0
 
     # CI storage gate: columnar open must beat text parse 20x, and the
@@ -490,7 +493,7 @@ def run_engine_tier(
     name: str, jobs: int, repeats: int, scale_override=None
 ) -> Dict[str, object]:
     from repro.analysis.full_report import full_report
-    from repro.engine import AnalysisCache
+    from repro.engine import AnalysisCache, ExecutionPolicy
     from repro.simulation.trace import generate_trace
 
     config = _engine_config(name, scale_override)
@@ -498,11 +501,11 @@ def run_engine_tier(
           f"target {config.scaled_target_failures}) ...", flush=True)
 
     t0 = time.perf_counter()
-    serial = generate_trace(config, jobs=1)
+    serial = generate_trace(config, policy=ExecutionPolicy(jobs=1))
     gen_serial = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = generate_trace(config, jobs=jobs)
+    parallel = generate_trace(config, policy=ExecutionPolicy(jobs=jobs))
     gen_parallel = time.perf_counter() - t0
 
     equivalent = _traces_identical(serial, parallel)
@@ -555,7 +558,7 @@ def _stage_walls(trace) -> Dict[str, float]:
 
 
 def run_adaptive_tier(name: str, repeats: int, scale_override=None) -> Dict[str, object]:
-    """The self-tuning planner end to end: one serial run, one
+    """The execution planner end to end: one serial run, one
     ``jobs="auto"`` run through an :class:`ExecutionPolicy` with a
     telemetry sink, plus the plan the planner actually chose."""
     from repro.engine import ExecutionPolicy, InMemoryTelemetrySink
@@ -813,7 +816,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--adaptive", action="store_true",
-        help="also run the self-tuning planner stage per tier "
+        help="also run the execution planner stage per tier "
         "(jobs='serial' vs jobs='auto' through an ExecutionPolicy)",
     )
     parser.add_argument(

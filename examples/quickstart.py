@@ -5,10 +5,10 @@ Run:
 
 ``scale`` defaults to 0.05 (a few thousand servers, ~15k tickets, a few
 seconds); use 1.0 to reproduce the full ~290k-ticket study.  ``jobs``
-defaults to ``auto``: the adaptive planner probes the machine and picks
-serial or a worker pool on its own — the output is bit-identical either
-way, so ``auto``, ``serial`` and any explicit worker count all produce
-the same trace.
+defaults to ``auto``: a pool of the usable CPUs once the fleet has
+enough servers to pay for it (the default scale does), serial
+otherwise — the output is bit-identical either way, so ``auto``,
+``serial`` and any explicit worker count all produce the same trace.
 """
 
 import sys

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis import (
     batch,

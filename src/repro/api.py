@@ -23,9 +23,11 @@ four verbs::
     report = repro.full_report(trace.dataset, policy=policy)
     print(policy.telemetry_sink.last.plan.reason)   # why serial/parallel
 
-``jobs="auto"`` (the default) lets the adaptive planner probe usable
-cores and per-shard cost, so generation is parallel exactly when that
-pays — output is bit-identical to serial either way.
+``jobs="auto"`` (the default) probes the usable cores and runs a pool
+only when there is more than one, the fleet spans more than one data
+center, and it has at least
+:data:`~repro.engine.adaptive.PARALLEL_MIN_SERVERS` servers — output
+is bit-identical to serial either way.
 
 The facade wraps the per-module APIs (``repro.analysis.*``,
 ``repro.core.io``, ``repro.simulation.trace``) without hiding them;
@@ -198,9 +200,9 @@ def simulate(
         scenario: a :class:`~repro.config.ScenarioConfig`; when omitted,
             the paper scenario at ``scale``/``seed`` is used.
         policy: the :class:`ExecutionPolicy`; defaults to
-            ``ExecutionPolicy(jobs="auto")``, which lets the adaptive
-            planner probe cores and shard costs and pick serial or a
-            sized pool.  Output is bit-identical for every plan; the
+            ``ExecutionPolicy(jobs="auto")``, which runs a pool of the
+            usable cores on fleets large enough to pay for it and
+            serial otherwise.  Output is bit-identical for every plan; the
             chosen plan and per-shard timings land on
             ``trace.telemetry`` (and the policy's telemetry sink).
 

@@ -31,9 +31,10 @@ Flags behave identically wherever they appear: ``--lenient``
 quarantines malformed input lines instead of failing the load, and
 ``--cache``/``--no-cache`` toggles the on-disk analysis cache under
 ``.repro_cache/``.  Execution flags all feed one
-:class:`repro.ExecutionPolicy`: ``--jobs auto`` (the default) lets the
-adaptive planner pick serial or a sized pool (bit-identical output
-either way), ``--jobs N``/``--jobs serial`` override it, and
+:class:`repro.ExecutionPolicy`: ``--jobs auto`` (the default) runs a
+pool of the usable CPUs once the fleet is large enough to pay for it
+and serial otherwise (bit-identical output either way),
+``--jobs N``/``--jobs serial`` override it, and
 ``--telemetry PATH`` appends one structured run document per engine run
 that ``fouryears telemetry PATH`` renders back.
 """
@@ -78,7 +79,6 @@ def _policy_from(args: argparse.Namespace) -> api.ExecutionPolicy:
         jobs=coerce_jobs(getattr(args, "jobs", "auto")),
         cache=_cache_from(args),
         telemetry_sink=sink,
-        shard_strategy=getattr(args, "shard_strategy", "cost"),
     )
 
 
@@ -442,13 +442,10 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             print()
             print(
                 api.format_table(
-                    ["shard", "idc", "servers", "tickets", "est cost",
-                     "order", "queue", "wall", "cpu"],
+                    ["shard", "idc", "servers", "tickets", "wall", "cpu"],
                     [
                         (s.index, s.idc, s.n_servers, s.n_tickets,
-                         f"{s.estimated_cost:.0f}", s.dispatch_order,
-                         s.queue_depth, f"{s.wall_seconds:.3f}s",
-                         f"{s.cpu_seconds:.3f}s")
+                         f"{s.wall_seconds:.3f}s", f"{s.cpu_seconds:.3f}s")
                         for s in run.shards
                     ],
                     title="per-shard execution",
@@ -481,17 +478,10 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
         type=str,
         default="auto",
         metavar="N|auto|serial",
-        help="worker processes for trace generation: 'auto' lets the "
-        "adaptive planner choose, 'serial' forces in-process execution, "
-        "an integer pins the pool size (output is bit-identical either way)",
-    )
-    parser.add_argument(
-        "--shard-strategy",
-        choices=("cost", "count"),
-        default="cost",
-        dest="shard_strategy",
-        help="shard dispatch order: 'cost' hands out the most expensive "
-        "data centers first (default), 'count' keeps natural order",
+        help="worker processes for trace generation: 'auto' runs a pool "
+        "of the usable CPUs once the fleet is large enough to pay for it, "
+        "'serial' forces in-process execution, an integer pins the pool "
+        "size (output is bit-identical either way)",
     )
 
 

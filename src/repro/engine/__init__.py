@@ -1,15 +1,13 @@
-"""Execution engine: self-tuning parallel shard execution, analysis
-result caching, and structured run telemetry.
+"""Execution engine: parallel shard execution, analysis result
+caching, and structured run telemetry.
 
 * :mod:`repro.engine.adaptive` — the execution planner: probes usable
-  cores (affinity- and cgroup-aware), estimates per-shard cost, and
-  picks serial or a sized pool so ``jobs="auto"`` is never slower than
-  serial — including on 1-CPU CI.
+  cores (affinity- and cgroup-aware) and picks serial or a pool by one
+  measured rule (:func:`plan_execution`).
 * :mod:`repro.engine.parallel` — runs the per-data-center shards of a
   planned trace (:func:`repro.simulation.trace.plan_trace`) on a
   ``multiprocessing`` pool; bit-identical to serial execution because
-  shard boundaries and seed streams never depend on the worker count
-  or dispatch order.
+  shard boundaries and seed streams never depend on the worker count.
 * :mod:`repro.engine.cache` — :class:`AnalysisCache`, a content-keyed
   memo for analysis results over dataset views, with an in-memory LRU
   tier and an optional on-disk tier under ``.repro_cache/``.
@@ -22,7 +20,6 @@ result caching, and structured run telemetry.
 
 from repro.engine.adaptive import (
     CpuProbe,
-    ExecutionPlan,
     plan_execution,
     probe_cpu_count,
 )
@@ -45,7 +42,6 @@ __all__ = [
     "CacheStats",
     "CpuProbe",
     "DEFAULT_POLICY",
-    "ExecutionPlan",
     "ExecutionPolicy",
     "InMemoryTelemetrySink",
     "JsonlTelemetrySink",

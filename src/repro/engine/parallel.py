@@ -5,9 +5,10 @@ data center, each with its own spawned seed stream.  ``jobs`` only
 decides how many worker processes drain the task list, so any job count
 (including 1) produces bit-identical results.
 
-Workers are primed via the pool initializer: with the (preferred)
-``fork`` start method the plan is inherited copy-on-write and nothing is
-pickled on the way in; each worker ships back its shard's raw
+Workers are primed via the pool initializer, which also pins each to
+its own usable core: with the (preferred) ``fork`` start method the plan
+is inherited copy-on-write and nothing is pickled on the way in; each
+worker ships back its shard's raw
 :class:`~repro.core.columns.ColumnStore` arrays, which the caller
 concatenates once.  Environments that cannot spawn processes at all
 fall back to in-process execution.
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.context
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+import os
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.simulation.trace import ShardResult, ShardShared, ShardTask
@@ -26,9 +28,16 @@ if TYPE_CHECKING:
 _WORKER_PLAN: Optional[Tuple["ShardShared", Sequence["ShardTask"]]] = None
 
 
-def _init_worker(shared: "ShardShared", tasks: Sequence["ShardTask"]) -> None:
+def _init_worker(shared: "ShardShared", tasks: Sequence["ShardTask"], slots: Any) -> None:
     global _WORKER_PLAN
     _WORKER_PLAN = (shared, tasks)
+    # One core per worker: on a 2-vCPU VM the scheduler was seen leaving
+    # both fresh workers on one core for a whole run (half the pool idle).
+    if hasattr(os, "sched_setaffinity"):
+        with slots.get_lock():
+            slot, slots.value = slots.value, slots.value + 1
+        cores = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cores[slot % len(cores)]})
 
 
 def _run_one(index: int) -> "ShardResult":
@@ -50,38 +59,30 @@ def run_shards(
     tasks: Sequence["ShardTask"],
     shared: "ShardShared",
     jobs: int = 1,
-    order: Optional[Sequence[int]] = None,
 ) -> List["ShardResult"]:
     """Execute every :class:`~repro.simulation.trace.ShardTask` and
     return the :class:`~repro.simulation.trace.ShardResult` list in task
     order.
 
     ``jobs <= 1`` (or a single task) runs in-process; otherwise a pool
-    of ``min(jobs, len(tasks))`` workers drains the tasks.  ``order``
-    optionally gives the dispatch sequence of task indices (the
-    adaptive planner hands shards out in descending estimated cost, an
-    LPT approximation against the pool's shared queue); results are
-    re-sorted by task index, so dispatch order never affects output.
-    Falls back to in-process execution when the platform refuses to
-    fork/spawn.
+    of ``min(jobs, len(tasks))`` workers drains the tasks in index
+    order.  Falls back to in-process execution when the platform
+    refuses to fork/spawn.
     """
     from repro.simulation.trace import run_shard
 
-    indices: Sequence[int] = order if order is not None else range(len(tasks))
-    if sorted(indices) != list(range(len(tasks))):
-        raise ValueError("order must be a permutation of the task indices")
     jobs = min(max(1, int(jobs)), len(tasks))
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs <= 1:
         return [run_shard(task, shared) for task in tasks]
     ctx = _pool_context()
     try:
+        slots = ctx.Value("i", 0)
         with ctx.Pool(
-            processes=jobs, initializer=_init_worker, initargs=(shared, tasks)
+            processes=jobs, initializer=_init_worker, initargs=(shared, tasks, slots)
         ) as pool:
-            results = pool.map(_run_one, indices, chunksize=1)
+            return pool.map(_run_one, range(len(tasks)), chunksize=1)
     except (OSError, PermissionError):  # pragma: no cover - sandboxed hosts
         return [run_shard(task, shared) for task in tasks]
-    return sorted(results, key=lambda r: r.index)
 
 
 __all__ = ["run_shards"]

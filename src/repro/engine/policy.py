@@ -2,7 +2,7 @@
 
 Every facade verb used to grow its own execution knobs (``jobs=`` on
 ``simulate``, ``cache=`` on ``analyze``/``full_report``) while having
-no way to express the rest — telemetry, shard strategy.  The policy
+no way to express the rest, such as telemetry.  The policy
 bundles all of them into a single frozen value threaded through
 :mod:`repro.api` and the CLI::
 
@@ -14,14 +14,14 @@ bundles all of them into a single frozen value threaded through
 
 Fields:
 
-* ``jobs`` — ``"auto"`` (default: the adaptive planner picks), an
-  ``int`` worker-count override, or ``"serial"``.
+* ``jobs`` — ``"auto"`` (default: a pool of the usable CPUs once the
+  fleet reaches :data:`~repro.engine.adaptive.PARALLEL_MIN_SERVERS`
+  servers, else serial), an ``int`` worker-count override, or
+  ``"serial"``.
 * ``cache`` — an :class:`~repro.engine.cache.AnalysisCache` threaded
   through the analysis verbs, or ``None``.
 * ``telemetry_sink`` — anything with ``record(RunTelemetry)``; every
   engine run executed under the policy reports one document to it.
-* ``shard_strategy`` — ``"cost"`` (default: dispatch shards by
-  descending estimated cost) or ``"count"`` (legacy index order).
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ from repro.engine.telemetry import RunTelemetry, TelemetrySink
 JOBS_AUTO = "auto"
 JOBS_SERIAL = "serial"
 
-#: Valid values of :attr:`ExecutionPolicy.shard_strategy`.
-SHARD_STRATEGIES = ("cost", "count")
-
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
@@ -47,7 +44,6 @@ class ExecutionPolicy:
     jobs: Union[int, str] = JOBS_AUTO
     cache: Optional[AnalysisCache] = None
     telemetry_sink: Optional[TelemetrySink] = None
-    shard_strategy: str = "cost"
 
     def __post_init__(self) -> None:
         jobs = self.jobs
@@ -61,11 +57,6 @@ class ExecutionPolicy:
         if isinstance(jobs, int) and jobs < 1:
             raise ValueError(
                 f"ExecutionPolicy.jobs must be >= 1 when numeric, got {jobs}"
-            )
-        if self.shard_strategy not in SHARD_STRATEGIES:
-            raise ValueError(
-                f"ExecutionPolicy.shard_strategy must be one of "
-                f"{SHARD_STRATEGIES}, got {self.shard_strategy!r}"
             )
         if self.telemetry_sink is not None and not callable(
             getattr(self.telemetry_sink, "record", None)
@@ -116,6 +107,5 @@ __all__ = [
     "DEFAULT_POLICY",
     "JOBS_AUTO",
     "JOBS_SERIAL",
-    "SHARD_STRATEGIES",
     "coerce_jobs",
 ]

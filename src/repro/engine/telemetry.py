@@ -2,7 +2,7 @@
 
 Every engine run — trace generation, a facade ``analyze``, a cached
 ``full_report`` — can emit one :class:`RunTelemetry` document: the plan
-the adaptive planner chose (and *why*), per-stage wall/CPU timings,
+the execution planner chose (and *why*), per-stage wall/CPU timings,
 per-shard execution records and a cache-counter snapshot.  The
 dataclasses are frozen and serialize to a stable JSON schema
 (:data:`TELEMETRY_SCHEMA_VERSION`), so the bench, the ingestion
@@ -18,28 +18,17 @@ what an engine run computes.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
-
-try:  # pragma: no cover - import shape differs below py3.8 only
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    from typing_extensions import Protocol, runtime_checkable  # type: ignore
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple, Union, runtime_checkable
 
 #: Version of the JSON document layout.  Bump on any key rename or
 #: semantic change; readers refuse documents from a newer schema.
-TELEMETRY_SCHEMA_VERSION = 1
+#: v2 dropped the plan's dispatch strategy and ``estimated_*`` seconds
+#: and each shard's ``estimated_cost``/``dispatch_order``/``queue_depth``;
+#: v1 documents still read, their extra keys ignored.
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: ``RunTelemetry.kind`` values.
 KIND_TRACE = "trace"
@@ -73,22 +62,12 @@ class StageTiming:
 
 @dataclass(frozen=True)
 class ShardTelemetry:
-    """One executed trace shard (one data center).
-
-    ``estimated_cost`` is the planner's pre-run cost estimate in
-    abstract work units; ``dispatch_order`` is the position at which the
-    shard was handed to the pool (cost-ordered under the ``cost``
-    strategy); ``queue_depth`` is how many shards were still waiting
-    behind it at dispatch time.
-    """
+    """One executed trace shard (one data center)."""
 
     index: int
     idc: str
     n_servers: int
     n_tickets: int
-    estimated_cost: float
-    dispatch_order: int
-    queue_depth: int
     wall_seconds: float
     cpu_seconds: float
 
@@ -98,9 +77,6 @@ class ShardTelemetry:
             "idc": self.idc,
             "n_servers": self.n_servers,
             "n_tickets": self.n_tickets,
-            "estimated_cost": self.estimated_cost,
-            "dispatch_order": self.dispatch_order,
-            "queue_depth": self.queue_depth,
             "wall_seconds": self.wall_seconds,
             "cpu_seconds": self.cpu_seconds,
         }
@@ -108,7 +84,7 @@ class ShardTelemetry:
 
 @dataclass(frozen=True)
 class PlanDecision:
-    """The plan the adaptive planner chose, and why.
+    """The plan the execution planner chose, and why.
 
     ``requested_jobs`` is the policy's verbatim request (``"auto"``,
     ``"serial"`` or a digit string); ``jobs`` is the effective worker
@@ -123,10 +99,7 @@ class PlanDecision:
     reason: str
     probed_cpus: int
     cpu_source: str
-    shard_strategy: str
     n_shards: int
-    estimated_serial_seconds: float
-    estimated_parallel_seconds: float
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -136,10 +109,7 @@ class PlanDecision:
             "reason": self.reason,
             "probed_cpus": self.probed_cpus,
             "cpu_source": self.cpu_source,
-            "shard_strategy": self.shard_strategy,
             "n_shards": self.n_shards,
-            "estimated_serial_seconds": self.estimated_serial_seconds,
-            "estimated_parallel_seconds": self.estimated_parallel_seconds,
         }
 
 
@@ -225,14 +195,7 @@ class RunTelemetry:
                         reason=str(plan_doc["reason"]),
                         probed_cpus=int(plan_doc["probed_cpus"]),
                         cpu_source=str(plan_doc["cpu_source"]),
-                        shard_strategy=str(plan_doc["shard_strategy"]),
                         n_shards=int(plan_doc["n_shards"]),
-                        estimated_serial_seconds=float(
-                            plan_doc["estimated_serial_seconds"]
-                        ),
-                        estimated_parallel_seconds=float(
-                            plan_doc["estimated_parallel_seconds"]
-                        ),
                     )
                 ),
                 shards=tuple(
@@ -241,9 +204,6 @@ class RunTelemetry:
                         idc=str(s["idc"]),
                         n_servers=int(s["n_servers"]),
                         n_tickets=int(s["n_tickets"]),
-                        estimated_cost=float(s["estimated_cost"]),
-                        dispatch_order=int(s["dispatch_order"]),
-                        queue_depth=int(s["queue_depth"]),
                         wall_seconds=float(s["wall_seconds"]),
                         cpu_seconds=float(s["cpu_seconds"]),
                     )
@@ -378,10 +338,7 @@ def _sample_run() -> RunTelemetry:
             reason="sample",
             probed_cpus=4,
             cpu_source="sched_getaffinity",
-            shard_strategy="cost",
             n_shards=3,
-            estimated_serial_seconds=1.5,
-            estimated_parallel_seconds=0.9,
         ),
         stages=(
             StageTiming("plan", 0.1, 0.1),
@@ -390,9 +347,9 @@ def _sample_run() -> RunTelemetry:
             StageTiming("total", 1.15, 2.05),
         ),
         shards=(
-            ShardTelemetry(0, "dc00", 100, 1200, 100.0, 1, 1, 0.5, 0.5),
-            ShardTelemetry(1, "dc01", 140, 1700, 140.0, 0, 2, 0.6, 0.6),
-            ShardTelemetry(2, "dc02", 80, 900, 80.0, 2, 0, 0.4, 0.4),
+            ShardTelemetry(0, "dc00", 100, 1200, 0.5, 0.5),
+            ShardTelemetry(1, "dc01", 140, 1700, 0.6, 0.6),
+            ShardTelemetry(2, "dc02", 80, 900, 0.4, 0.4),
         ),
         cache={"hits": 3, "misses": 1},
     )
@@ -424,8 +381,6 @@ def schema_selfcheck() -> None:
         if not params.frozen:
             raise TelemetryError(f"{cls.__name__} must be a frozen dataclass")
 
-
-_ = dataclasses  # noqa: F841 - re-exported for sinks built on replace()
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.full_report import full_report

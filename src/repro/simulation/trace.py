@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -458,28 +458,23 @@ def finish_trace(plan: TracePlan, results: Sequence[ShardResult]) -> SyntheticTr
 
 def generate_trace(
     config: ScenarioConfig,
-    jobs: Optional[Union[int, str]] = None,
     *,
     policy: Optional["ExecutionPolicy"] = None,
 ) -> SyntheticTrace:
     """Generate one synthetic four-year trace from a scenario config.
 
     Execution is planned by :func:`repro.engine.adaptive.plan_execution`
-    from the policy's ``jobs`` request (default ``"auto"``): the
-    planner probes usable cores, estimates per-shard cost, and runs the
-    per-DC shards either in-process or on a sized process pool.  Every
-    plan produces bit-identical output for the same scenario seed, so
-    the choice is purely about speed — and ``"auto"`` falls back to
-    serial whenever a pool could not pay for itself (one usable core, a
-    single shard, or a workload below the payoff threshold).  The
-    chosen plan, the reason, and per-stage/per-shard timings are
-    recorded on ``trace.telemetry`` (and the policy's telemetry sink).
-
-    ``jobs`` is the positional shorthand for
-    ``policy=ExecutionPolicy(jobs=...)``; pass one or the other.
+    from the policy's ``jobs`` request (default ``"auto"``): the per-DC
+    shards run either in-process or on a process pool.  Every plan
+    produces bit-identical output for the same scenario seed, so the
+    choice is purely about speed — ``"auto"`` stays serial on one usable
+    core, a single shard, or a fleet below
+    :data:`~repro.engine.adaptive.PARALLEL_MIN_SERVERS`.  The chosen
+    plan, the reason, and per-stage/per-shard timings are recorded on
+    ``trace.telemetry`` (and the policy's telemetry sink).
     """
-    from repro.engine.adaptive import plan_execution
-    from repro.engine.policy import ExecutionPolicy, coerce_jobs
+    from repro.engine.adaptive import MODE_PARALLEL, plan_execution
+    from repro.engine.policy import DEFAULT_POLICY
     from repro.engine.telemetry import (
         KIND_TRACE,
         RunTelemetry,
@@ -488,30 +483,19 @@ def generate_trace(
     )
 
     if policy is None:
-        policy = ExecutionPolicy(
-            jobs="auto" if jobs is None else coerce_jobs(jobs)
-        )
-    elif jobs is not None:
-        raise ValueError("pass either jobs= or policy=, not both")
+        policy = DEFAULT_POLICY
 
     wall0, cpu0 = time.perf_counter(), time.process_time()
     plan = plan_trace(config)
-    xplan = plan_execution(
-        plan.tasks,
-        requested=policy.jobs,
-        shard_strategy=policy.shard_strategy,
-    )
+    decision = plan_execution(plan.tasks, policy.jobs)
     plan_wall = time.perf_counter() - wall0
     plan_cpu = time.process_time() - cpu0
 
     wall1, cpu1 = time.perf_counter(), time.process_time()
-    if xplan.parallel:
+    if decision.mode == MODE_PARALLEL:
         from repro.engine.parallel import run_shards
 
-        results = run_shards(
-            plan.tasks, plan.shared, jobs=xplan.jobs,
-            order=xplan.dispatch_order,
-        )
+        results = run_shards(plan.tasks, plan.shared, jobs=decision.jobs)
     else:
         results = [run_shard(task, plan.shared) for task in plan.tasks]
     execute_wall = time.perf_counter() - wall1
@@ -522,12 +506,9 @@ def generate_trace(
     assemble_wall = time.perf_counter() - wall2
     assemble_cpu = time.process_time() - cpu2
 
-    position_of = {
-        index: pos for pos, index in enumerate(xplan.dispatch_order)
-    }
     trace.telemetry = RunTelemetry(
         kind=KIND_TRACE,
-        plan=xplan.decision,
+        plan=decision,
         stages=(
             StageTiming("plan", plan_wall, plan_cpu),
             StageTiming("execute", execute_wall, execute_cpu),
@@ -544,9 +525,6 @@ def generate_trace(
                 idc=plan.tasks[result.index].idc,
                 n_servers=len(plan.tasks[result.index].rows),
                 n_tickets=result.n,
-                estimated_cost=xplan.costs[result.index],
-                dispatch_order=position_of[result.index],
-                queue_depth=xplan.queue_depth_at(position_of[result.index]),
                 wall_seconds=result.wall_seconds,
                 cpu_seconds=result.cpu_seconds,
             )
@@ -560,7 +538,6 @@ def generate_trace(
 def generate_paper_trace(
     scale: float = 1.0,
     seed: int = 20170626,
-    jobs: Optional[Union[int, str]] = None,
     *,
     policy: Optional["ExecutionPolicy"] = None,
 ) -> SyntheticTrace:
@@ -570,9 +547,7 @@ def generate_paper_trace(
     centers; ``scale=0.05`` is a comfortable laptop-sized trace with the
     same per-server statistics.
     """
-    return generate_trace(
-        paper_scenario(scale=scale, seed=seed), jobs, policy=policy
-    )
+    return generate_trace(paper_scenario(scale=scale, seed=seed), policy=policy)
 
 
 __all__ = [

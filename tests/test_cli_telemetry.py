@@ -1,5 +1,7 @@
 """CLI execution flags and the ``fouryears telemetry`` subcommand."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -10,8 +12,12 @@ class TestExecutionFlags:
     def test_jobs_defaults_to_auto(self):
         args = build_parser().parse_args(["simulate"])
         assert args.jobs == "auto"
-        assert args.shard_strategy == "cost"
         assert args.telemetry is None
+
+    def test_jobs_is_the_only_worker_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--shard-strategy", "cost"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_invalid_jobs_exits_2(self, tmp_path, capsys):
         code = main([
@@ -57,13 +63,51 @@ class TestTelemetrySubcommand:
         assert "run 2/2: trace" in out
         assert "stage:execute" in out
         assert "per-shard execution" in out
-        assert "est cost" in out
+        assert "est cost" not in out
 
     def test_last_flag_shows_only_latest(self, recorded, capsys):
         assert main(["telemetry", str(recorded), "--last"]) == 0
         out = capsys.readouterr().out
         assert "run 2/2: trace" in out
         assert "run 1/2" not in out
+
+    def test_schema_v1_document_still_renders(self, tmp_path, capsys):
+        # v1 carried cost-model keys that v2 dropped; old files must
+        # still read back and render, the extra keys ignored.
+        v1 = {
+            "schema_version": 1,
+            "kind": "trace",
+            "plan": {
+                "requested_jobs": "auto", "mode": "parallel", "jobs": 2,
+                "reason": "estimated parallel win on 2 CPUs",
+                "probed_cpus": 2, "cpu_source": "sched_getaffinity",
+                "n_shards": 2,
+                "estimated_serial_seconds": 3.0,
+                "estimated_parallel_seconds": 1.8,
+            },
+            "stages": [
+                {"name": "execute", "wall_seconds": 1.2, "cpu_seconds": 2.2},
+            ],
+            "shards": [
+                {"index": i, "idc": f"dc0{i}", "n_servers": 100,
+                 "n_tickets": 900, "estimated_cost": 100.0,
+                 "dispatch_order": 1 - i, "queue_depth": 0,
+                 "wall_seconds": 0.6, "cpu_seconds": 0.6}
+                for i in range(2)
+            ],
+            "cache": None,
+        }
+        path = tmp_path / "v1.jsonl"
+        path.write_text(json.dumps(v1) + "\n", encoding="utf-8")
+        (run,) = read_telemetry(path)
+        assert run.schema_version == 1
+        assert run.plan.reason == "estimated parallel win on 2 CPUs"
+        assert [s.idc for s in run.shards] == ["dc00", "dc01"]
+        assert main(["telemetry", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "run 1/1: trace" in out
+        assert "parallel (jobs=2)" in out
+        assert "per-shard execution" in out and "dc01" in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["telemetry", str(tmp_path / "absent.jsonl")])

@@ -1,16 +1,16 @@
-"""Self-tuning execution planner: probing, cost model, plan decisions."""
+"""Execution planner: CPU probing and the serial/pool rule."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.config import FleetConfig, ScenarioConfig, tiny_scenario
 from repro.engine.adaptive import (
-    MIN_PARALLEL_SECONDS,
     MODE_PARALLEL,
     MODE_SERIAL,
+    PARALLEL_MIN_SERVERS,
     CpuProbe,
-    calibrate_seconds_per_unit,
-    estimate_shard_costs,
     plan_execution,
     probe_cpu_count,
 )
@@ -35,11 +35,12 @@ def tasks():
     return plan_trace(_scenario(4)).tasks
 
 
-#: A fast fake calibration: one abstract unit = 1 ms of work, so a
-#: 4x200-server plan estimates ~0.8s serial — under the payoff
-#: threshold — while scaled variants can push it over deterministically.
-FAST_UNIT = 1e-3
-SLOW_UNIT = 1.0  # one unit = 1s: everything looks worth parallelizing
+def _sized_tasks(n_servers: int, n_shards: int = 4):
+    """Stand-in shard tasks: the rule reads only the shard count and
+    each shard's server rows."""
+    sizes = [n_servers // n_shards] * n_shards
+    sizes[0] += n_servers - sum(sizes)
+    return [SimpleNamespace(rows=np.arange(size)) for size in sizes]
 
 
 class TestProbe:
@@ -74,126 +75,96 @@ class TestProbe:
         assert probe.source == "sched_getaffinity"
 
 
-class TestCostModel:
-    def test_costs_track_shard_sizes(self, tasks):
-        costs = estimate_shard_costs(tasks)
-        assert len(costs) == len(tasks)
-        for task, cost in zip(tasks, costs):
-            assert cost >= len(task.rows)
-
-    def test_calibration_is_cached_and_positive(self):
-        first = calibrate_seconds_per_unit(refresh=True)
-        second = calibrate_seconds_per_unit()
-        assert first == second
-        assert first > 0
-
-
 class TestPlanDecisions:
     def test_serial_request_is_serial(self, tasks):
-        plan = plan_execution(
-            tasks, requested="serial",
-            probe=CpuProbe(8, "test"), seconds_per_unit=SLOW_UNIT,
-        )
+        plan = plan_execution(tasks, "serial", probe=CpuProbe(8, "test"))
         assert plan.mode == MODE_SERIAL and plan.jobs == 1
-        assert not plan.parallel
-        assert plan.decision.requested_jobs == "serial"
+        assert plan.requested_jobs == "serial"
+        assert plan.reason == "policy requested serial execution"
 
     def test_int_request_on_multicore_is_honored(self, tasks):
-        plan = plan_execution(
-            tasks, requested=3,
-            probe=CpuProbe(8, "test"), seconds_per_unit=FAST_UNIT,
-        )
+        plan = plan_execution(tasks, 3, probe=CpuProbe(8, "test"))
         assert plan.mode == MODE_PARALLEL and plan.jobs == 3
+        assert plan.requested_jobs == "3"
 
     def test_int_request_capped_by_shard_count(self, tasks):
-        plan = plan_execution(
-            tasks, requested=64,
-            probe=CpuProbe(128, "test"), seconds_per_unit=FAST_UNIT,
-        )
+        plan = plan_execution(tasks, 64, probe=CpuProbe(128, "test"))
         assert plan.jobs == len(tasks)
 
     def test_int_request_on_one_cpu_degrades_to_serial(self, tasks):
-        plan = plan_execution(
-            tasks, requested=4,
-            probe=CpuProbe(1, "test"), seconds_per_unit=FAST_UNIT,
-        )
-        assert plan.mode == MODE_SERIAL
-        assert "1 usable CPU" in plan.decision.reason
+        plan = plan_execution(tasks, 4, probe=CpuProbe(1, "test"))
+        assert plan.mode == MODE_SERIAL and plan.jobs == 1
+        assert "1 usable CPU" in plan.reason
 
-    def test_auto_on_one_cpu_is_serial(self, tasks):
-        plan = plan_execution(
-            tasks, requested="auto",
-            probe=CpuProbe(1, "test"), seconds_per_unit=SLOW_UNIT,
-        )
+    def test_auto_on_one_cpu_is_serial(self):
+        big = _sized_tasks(10 * PARALLEL_MIN_SERVERS)
+        plan = plan_execution(big, "auto", probe=CpuProbe(1, "test"))
         assert plan.mode == MODE_SERIAL
-        assert plan.decision.probed_cpus == 1
+        assert plan.probed_cpus == 1
+        assert "1 usable CPU" in plan.reason
 
-    def test_auto_below_payoff_threshold_is_serial(self, tasks):
-        plan = plan_execution(
-            tasks, requested="auto",
-            probe=CpuProbe(8, "test"), seconds_per_unit=FAST_UNIT,
-        )
-        assert plan.decision.estimated_serial_seconds < MIN_PARALLEL_SECONDS
-        assert plan.mode == MODE_SERIAL
-        assert "payoff threshold" in plan.decision.reason
+    def test_auto_below_payoff_threshold_is_serial(self):
+        # The payoff threshold is now a server floor: one server short
+        # of it stays serial even on a 2-CPU machine.
+        small = _sized_tasks(PARALLEL_MIN_SERVERS - 1)
+        plan = plan_execution(small, "auto", probe=CpuProbe(2, "test"))
+        assert plan.mode == MODE_SERIAL and plan.jobs == 1
+        assert "pool floor" in plan.reason
 
-    def test_auto_on_big_work_goes_parallel(self, tasks):
-        plan = plan_execution(
-            tasks, requested="auto",
-            probe=CpuProbe(8, "test"), seconds_per_unit=SLOW_UNIT,
-        )
-        assert plan.mode == MODE_PARALLEL
-        assert plan.jobs == len(tasks)  # min(8 cpus, 4 shards)
-        assert (
-            plan.decision.estimated_parallel_seconds
-            < plan.decision.estimated_serial_seconds
-        )
+    def test_auto_on_big_work_goes_parallel(self):
+        at_floor = _sized_tasks(PARALLEL_MIN_SERVERS)
+        plan = plan_execution(at_floor, "auto", probe=CpuProbe(2, "test"))
+        assert plan.mode == MODE_PARALLEL and plan.jobs == 2
+        wide = plan_execution(at_floor, "auto", probe=CpuProbe(8, "test"))
+        assert wide.jobs == len(at_floor)  # min(8 cpus, 4 shards)
 
     def test_single_shard_never_parallel(self):
         single = plan_trace(_scenario(1)).tasks
-        plan = plan_execution(
-            single, requested="auto",
-            probe=CpuProbe(8, "test"), seconds_per_unit=SLOW_UNIT,
-        )
-        assert plan.mode == MODE_SERIAL
-        assert "single shard" in plan.decision.reason
+        for requested in ("auto", 4):
+            plan = plan_execution(
+                single, requested, probe=CpuProbe(8, "test")
+            )
+            assert plan.mode == MODE_SERIAL
+            assert "single shard" in plan.reason
+        huge = _sized_tasks(10 * PARALLEL_MIN_SERVERS, n_shards=1)
+        assert plan_execution(huge, probe=CpuProbe(8, "test")).jobs == 1
 
     def test_unknown_request_rejected(self, tasks):
         with pytest.raises(ValueError, match="unknown jobs request"):
             plan_execution(tasks, requested="fastest")
 
-    def test_unknown_strategy_rejected(self, tasks):
-        with pytest.raises(ValueError, match="shard_strategy"):
-            plan_execution(tasks, shard_strategy="random")
-
 
 class TestDispatchOrder:
-    def test_cost_order_is_descending_cost_permutation(self, tasks):
-        plan = plan_execution(
-            tasks, probe=CpuProbe(4, "test"), seconds_per_unit=FAST_UNIT,
-        )
-        assert sorted(plan.dispatch_order) == list(range(len(tasks)))
-        dispatched = [plan.costs[i] for i in plan.dispatch_order]
-        assert dispatched == sorted(dispatched, reverse=True)
+    def test_count_strategy_keeps_natural_order(self, monkeypatch):
+        """Index order, once the ``count`` strategy, is now the only
+        dispatch order: the pool is handed shard indices 0..n-1."""
+        import repro.engine.parallel as parallel
 
-    def test_count_strategy_keeps_natural_order(self, tasks):
-        plan = plan_execution(
-            tasks, shard_strategy="count",
-            probe=CpuProbe(4, "test"), seconds_per_unit=FAST_UNIT,
-        )
-        assert plan.dispatch_order == tuple(range(len(tasks)))
+        plan = plan_trace(_scenario(4))
+        dispatched = []
 
-    def test_queue_depth_decreases_to_zero(self, tasks):
-        plan = plan_execution(
-            tasks, requested=2,
-            probe=CpuProbe(4, "test"), seconds_per_unit=FAST_UNIT,
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                # Skip the initializer: it would pin this process's CPU.
+                monkeypatch.setattr(parallel, "_WORKER_PLAN", initargs[:2])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, indices, chunksize):
+                dispatched.extend(indices)
+                return [fn(i) for i in dispatched]
+
+        monkeypatch.setattr(
+            parallel, "_pool_context",
+            lambda: SimpleNamespace(Pool=RecordingPool, Value=lambda *a: None),
         )
-        depths = [
-            plan.queue_depth_at(pos)
-            for pos in range(len(plan.dispatch_order))
-        ]
-        assert depths == sorted(depths, reverse=True)
-        assert depths[-1] == 0
+        results = parallel.run_shards(plan.tasks, plan.shared, jobs=2)
+        assert dispatched == list(range(len(plan.tasks)))
+        assert [r.index for r in results] == dispatched
 
 
 class TestAutoBitIdentity:
@@ -205,17 +176,14 @@ class TestAutoBitIdentity:
         import repro.engine.adaptive as adaptive
 
         config = tiny_scenario(seed=17)
-        serial = generate_trace(config, jobs=1)
+        serial = generate_trace(config, policy=ExecutionPolicy(jobs=1))
         monkeypatch.setattr(
             adaptive, "probe_cpu_count",
             lambda: CpuProbe(count=cores, source="test"),
         )
-        # Make every estimate scream "parallelize" so multi-core runs
-        # actually take the pool path.
-        monkeypatch.setattr(
-            adaptive, "calibrate_seconds_per_unit",
-            lambda refresh=False: SLOW_UNIT,
-        )
+        # Drop the server floor so multi-core runs actually take the
+        # pool path on this small fleet.
+        monkeypatch.setattr(adaptive, "PARALLEL_MIN_SERVERS", 0)
         sink = InMemoryTelemetrySink()
         auto = generate_trace(
             config,
@@ -229,18 +197,6 @@ class TestAutoBitIdentity:
         plan = sink.last.plan
         expected_mode = MODE_SERIAL if cores == 1 else MODE_PARALLEL
         assert plan.mode == expected_mode
-
-    def test_count_strategy_matches_cost_strategy(self):
-        config = tiny_scenario(seed=23)
-        by_cost = generate_trace(
-            config, policy=ExecutionPolicy(jobs=2, shard_strategy="cost")
-        )
-        by_count = generate_trace(
-            config, policy=ExecutionPolicy(jobs=2, shard_strategy="count")
-        )
-        assert (
-            by_cost.dataset.fingerprint() == by_count.dataset.fingerprint()
-        )
 
 
 class TestTraceTelemetry:
@@ -268,7 +224,9 @@ class TestTraceTelemetry:
         assert sum(s.n_tickets for s in run.shards) >= len(trace.dataset)
 
     def test_no_sink_still_attaches_telemetry(self):
-        trace = generate_trace(tiny_scenario(seed=9), jobs=1)
+        trace = generate_trace(
+            tiny_scenario(seed=9), policy=ExecutionPolicy(jobs=1)
+        )
         assert trace.telemetry is not None
         assert trace.telemetry.plan.mode == MODE_SERIAL
 

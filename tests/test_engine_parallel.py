@@ -1,10 +1,13 @@
 """Sharded execution engine: serial vs. parallel bit-equivalence."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.config import FleetConfig, ScenarioConfig, tiny_scenario
 from repro.core.columns import COLUMN_NAMES, TABLE_NAMES
+from repro.engine import ExecutionPolicy
 from repro.engine.parallel import run_shards
 from repro.simulation.trace import (
     CHAIN_ID_STRIDE,
@@ -12,7 +15,6 @@ from repro.simulation.trace import (
     finish_trace,
     generate_trace,
     plan_trace,
-    run_shard,
 )
 
 
@@ -45,22 +47,22 @@ class TestBitEquivalence:
     @pytest.mark.parametrize("seed", [7, 1234, 20170626])
     def test_jobs2_matches_serial(self, seed):
         config = tiny_scenario(seed=seed)
-        serial = generate_trace(config, jobs=1)
-        sharded = generate_trace(config, jobs=2)
+        serial = generate_trace(config, policy=ExecutionPolicy(jobs=1))
+        sharded = generate_trace(config, policy=ExecutionPolicy(jobs=2))
         assert_traces_identical(serial, sharded)
         assert serial.dataset.fingerprint() == sharded.dataset.fingerprint()
 
     @pytest.mark.parametrize("n_dcs", [1, 3, 8])
     def test_idc_counts(self, n_dcs):
         config = _scenario(n_dcs, seed=99)
-        serial = generate_trace(config, jobs=1)
-        sharded = generate_trace(config, jobs=4)
+        serial = generate_trace(config, policy=ExecutionPolicy(jobs=1))
+        sharded = generate_trace(config, policy=ExecutionPolicy(jobs=4))
         assert_traces_identical(serial, sharded)
 
     def test_jobs_exceeding_shards(self):
         config = _scenario(2, seed=5)
-        serial = generate_trace(config, jobs=1)
-        sharded = generate_trace(config, jobs=16)
+        serial = generate_trace(config, policy=ExecutionPolicy(jobs=1))
+        sharded = generate_trace(config, policy=ExecutionPolicy(jobs=16))
         assert_traces_identical(serial, sharded)
 
 
@@ -109,6 +111,30 @@ class TestPlanAndShards:
         right = finish_trace(plan, pooled)
         assert_traces_identical(left, right)
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity control and two usable cores",
+    )
+    def test_pool_pins_each_worker_to_its_own_core(self, monkeypatch):
+        import repro.simulation.trace as trace_module
+
+        real_run_shard = trace_module.run_shard
+
+        def reporting_run_shard(task, shared):
+            result = real_run_shard(task, shared)
+            result.stats = dict(result.stats, pid=os.getpid(),
+                                cores=sorted(os.sched_getaffinity(0)))
+            return result
+
+        monkeypatch.setattr(trace_module, "run_shard", reporting_run_shard)
+        before = os.sched_getaffinity(0)
+        plan = plan_trace(_scenario(4, seed=3))
+        results = run_shards(plan.tasks, plan.shared, jobs=2)
+        core_of = {r.stats["pid"]: tuple(r.stats["cores"]) for r in results}
+        assert all(len(cores) == 1 for cores in core_of.values())
+        assert len(set(core_of.values())) == len(core_of)
+        assert os.sched_getaffinity(0) == before  # the parent stays unpinned
+
     def test_assemble_store_sorted_by_time(self):
         config = _scenario(4, seed=3)
         plan = plan_trace(config)
@@ -149,10 +175,10 @@ class TestSingleCpuSerialDecision:
         )
 
     def test_serial_and_identical_without_warning(self, monkeypatch, recwarn):
-        from repro.engine import ExecutionPolicy, InMemoryTelemetrySink
+        from repro.engine import InMemoryTelemetrySink
 
         config = tiny_scenario(seed=5)
-        serial = generate_trace(config, jobs=1)
+        serial = generate_trace(config, policy=ExecutionPolicy(jobs=1))
         self._one_cpu(monkeypatch)
         sink = InMemoryTelemetrySink()
         trace = generate_trace(
@@ -167,7 +193,9 @@ class TestSingleCpuSerialDecision:
 
     def test_auto_on_one_cpu_plans_serial(self, monkeypatch):
         self._one_cpu(monkeypatch)
-        trace = generate_trace(tiny_scenario(seed=5), jobs="auto")
+        trace = generate_trace(
+            tiny_scenario(seed=5), policy=ExecutionPolicy(jobs="auto")
+        )
         plan = trace.telemetry.plan
         assert plan.mode == "serial"
         assert plan.probed_cpus == 1
@@ -175,5 +203,5 @@ class TestSingleCpuSerialDecision:
 
     def test_jobs1_never_warns(self, monkeypatch, recwarn):
         self._one_cpu(monkeypatch)
-        generate_trace(tiny_scenario(seed=5), jobs=1)
+        generate_trace(tiny_scenario(seed=5), policy=ExecutionPolicy(jobs=1))
         assert not [w for w in recwarn if w.category is RuntimeWarning]

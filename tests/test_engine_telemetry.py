@@ -28,13 +28,10 @@ def make_run(kind=KIND_TRACE) -> RunTelemetry:
             requested_jobs="auto",
             mode="parallel",
             jobs=2,
-            reason="estimated parallel win on 4 CPUs (test)",
+            reason="auto: 9000 servers in 2 shards on 4 usable CPUs (test)",
             probed_cpus=4,
             cpu_source="test",
-            shard_strategy="cost",
             n_shards=2,
-            estimated_serial_seconds=3.0,
-            estimated_parallel_seconds=1.8,
         ),
         stages=(
             StageTiming("plan", 0.1, 0.1),
@@ -42,8 +39,8 @@ def make_run(kind=KIND_TRACE) -> RunTelemetry:
             StageTiming("total", 1.3, 2.3),
         ),
         shards=(
-            ShardTelemetry(0, "dc00", 120, 900, 123.0, 1, 0, 0.7, 0.7),
-            ShardTelemetry(1, "dc01", 180, 1400, 181.0, 0, 1, 0.9, 0.9),
+            ShardTelemetry(0, "dc00", 120, 900, 0.7, 0.7),
+            ShardTelemetry(1, "dc01", 180, 1400, 0.9, 0.9),
         ),
         cache={"hits": 2, "misses": 5},
     )

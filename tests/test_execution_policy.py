@@ -1,11 +1,13 @@
 """ExecutionPolicy: validation, facade threading, deprecation shims."""
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
 import repro
 from repro import api
+from repro.config import tiny_scenario
 from repro.engine import (
     AnalysisCache,
     DEFAULT_POLICY,
@@ -19,6 +21,7 @@ from repro.engine.telemetry import (
     KIND_REPORT,
     KIND_TRACE,
 )
+from repro.simulation.trace import generate_trace
 
 
 @pytest.fixture(scope="module")
@@ -32,8 +35,10 @@ class TestPolicyValue:
         assert policy.jobs == "auto"
         assert policy.cache is None
         assert policy.telemetry_sink is None
-        assert policy.shard_strategy == "cost"
         assert DEFAULT_POLICY == policy
+        assert [f.name for f in fields(ExecutionPolicy)] == [
+            "jobs", "cache", "telemetry_sink",
+        ]
 
     def test_exported_at_top_level(self):
         assert repro.ExecutionPolicy is ExecutionPolicy
@@ -46,10 +51,6 @@ class TestPolicyValue:
     def test_invalid_jobs_rejected(self, jobs):
         with pytest.raises(ValueError):
             ExecutionPolicy(jobs=jobs)
-
-    def test_invalid_strategy_rejected(self):
-        with pytest.raises(ValueError, match="shard_strategy"):
-            ExecutionPolicy(shard_strategy="alphabetical")
 
     def test_sink_must_have_record(self):
         with pytest.raises(ValueError, match="record"):
@@ -137,6 +138,8 @@ class TestDeprecationShims:
             )
         with pytest.raises(TypeError, match="cache"):
             api.full_report(dataset, cache=AnalysisCache())
+        with pytest.raises(TypeError, match="jobs"):
+            generate_trace(tiny_scenario(seed=31), jobs=2)
 
     def test_policy_path_never_warns(self, dataset):
         with warnings.catch_warnings():
